@@ -8,7 +8,7 @@ engine's core guarantee first: batch answers are bit-identical to the
 scalar ``oracle.query`` loop.
 
 Expectation: batch execution recovers >= 2x over the scalar loop for
-PowCov (one packed numpy sweep per mask group instead of per-query dict
+PowCov (one pair-CSR table sweep per mask group instead of per-query
 probing), and the warm-cache replay is another order of magnitude on
 top.  The ``*_speedup`` extra_info fields document what the hardware
 allowed.

@@ -10,7 +10,8 @@ paper's structural guarantees directly against the definitions:
   :class:`~repro.graph.labeled_graph.EdgeLabeledGraph`: consistent
   ``indptr``, in-range neighbors and labels, arc symmetry for undirected
   graphs, mask-domain limits.
-* :func:`audit_powcov` — Theorem 1 material: per-pair entries are
+* :func:`audit_powcov` — Theorem 1 material: the pair CSR offsets are
+  well formed, per-pair entries are
   distance-sorted, duplicate-free and *mutually incomparable* (no stored
   set is a subset of another stored set at an equal-or-smaller distance —
   otherwise the superset is not SP-minimal), plus a seeded spot-check
@@ -52,7 +53,7 @@ from ..graph.traversal import UNREACHABLE, constrained_bfs, constrained_distance
 
 if TYPE_CHECKING:
     from ..core.chromland import ChromLandIndex
-    from ..core.powcov import PowCovIndex
+    from ..core.powcov import PowCovIndex, PowCovTable
     from ..core.types import DistanceOracle
 
 __all__ = [
@@ -210,67 +211,93 @@ def audit_graph(graph: EdgeLabeledGraph) -> list[AuditViolation]:
 # ----------------------------------------------------------------------
 # PowCov (Theorem 1 material)
 # ----------------------------------------------------------------------
+def _pair_entries(
+    table: "PowCovTable",
+) -> list[tuple[int, int, list[tuple[float, int]]]]:
+    """``(landmark index, vertex, entries)`` of every non-empty pair."""
+    offsets = np.asarray(table.offsets).tolist()
+    dists = np.asarray(table.dist).tolist()
+    masks = np.asarray(table.mask).tolist()
+    n = table.num_vertices
+    return [
+        (p // n, p % n, list(zip(dists[offsets[p]:offsets[p + 1]],
+                                 masks[offsets[p]:offsets[p + 1]])))
+        for p in np.flatnonzero(table.pair_counts()).tolist()
+    ]
+
+
 def _audit_powcov_tables(
     graph: EdgeLabeledGraph,
-    flat: list[dict[int, list[tuple[int, int]]]],
+    table: "PowCovTable",
     landmarks: list[int],
     side: str,
 ) -> list[AuditViolation]:
-    """Structural checks over one family of flat per-landmark tables."""
+    """Structural checks over one direction's pair CSR table."""
     out: list[AuditViolation] = []
     universe = full_mask(graph.num_labels)
+    suffix = f" [{side}]" if side else ""
 
     def where(i: int, u: int) -> str:
-        suffix = f" [{side}]" if side else ""
         return f"landmark {i} (vertex {landmarks[i]}), vertex {u}{suffix}"
 
     def bad(check: str, i: int, u: int, message: str) -> None:
         out.append(AuditViolation(f"powcov.{check}", where(i, u), message))
 
-    for i, entries in enumerate(flat):
-        if landmarks[i] in entries:
-            bad("self-entry", i, landmarks[i], "landmark stores entries for itself")
-        for u, pairs in entries.items():
-            if not 0 <= u < graph.num_vertices:
-                bad("vertex-range", i, u, f"vertex id outside [0, {graph.num_vertices})")
-                continue
-            if sorted(pairs) != pairs:
-                bad("entry-order", i, u, f"entries not (distance, mask)-sorted: {pairs}")
-            seen_masks: set[int] = set()
-            for d, mask in pairs:
-                if d <= 0:
-                    bad("entry-distance", i, u, f"non-positive distance {d} for mask "
-                        f"{mask_to_str(mask)}")
-                if mask <= 0 or mask & ~universe:
-                    bad("entry-mask-domain", i, u,
-                        f"mask {bin(mask)} outside the {graph.num_labels}-label universe")
-                if mask in seen_masks:
-                    bad("entry-duplicate", i, u, f"mask {mask_to_str(mask)} stored twice")
-                seen_masks.add(mask)
-            # Mutual incomparability: a stored subset at an equal-or-smaller
-            # distance makes the stored superset non-SP-minimal.
-            for a, (da, ma) in enumerate(pairs):
-                for db, mb in pairs[a + 1 :]:
-                    if ma != mb and ma & mb == ma and da <= db:
-                        bad(
-                            "incomparable", i, u,
-                            f"entry ({db}, {mask_to_str(mb)}) is dominated by "
-                            f"its stored subset ({da}, {mask_to_str(ma)}) — "
-                            "not SP-minimal",
-                        )
-                    if ma != mb and ma & mb == mb and db <= da:
-                        bad(
-                            "incomparable", i, u,
-                            f"entry ({da}, {mask_to_str(ma)}) is dominated by "
-                            f"its stored subset ({db}, {mask_to_str(mb)}) — "
-                            "not SP-minimal",
-                        )
+    offsets = np.asarray(table.offsets)
+    expected = len(landmarks) * graph.num_vertices + 1
+    if (
+        table.num_vertices != graph.num_vertices
+        or len(offsets) != expected
+        or offsets[0] != 0
+        or offsets[-1] != len(table)
+        or bool((np.diff(offsets) < 0).any())
+    ):
+        out.append(AuditViolation(
+            "powcov.table-offsets", f"offsets{suffix}",
+            f"expected {expected} non-decreasing offsets from 0 to {len(table)}",
+        ))
+        return out
+
+    for i, u, pairs in _pair_entries(table):
+        if u == landmarks[i]:
+            bad("self-entry", i, u, "landmark stores entries for itself")
+        if sorted(pairs) != pairs:
+            bad("entry-order", i, u, f"entries not (distance, mask)-sorted: {pairs}")
+        seen_masks: set[int] = set()
+        for d, mask in pairs:
+            if d <= 0:
+                bad("entry-distance", i, u, f"non-positive distance {d} for mask "
+                    f"{mask_to_str(mask)}")
+            if mask <= 0 or mask & ~universe:
+                bad("entry-mask-domain", i, u,
+                    f"mask {bin(mask)} outside the {graph.num_labels}-label universe")
+            if mask in seen_masks:
+                bad("entry-duplicate", i, u, f"mask {mask_to_str(mask)} stored twice")
+            seen_masks.add(mask)
+        # Mutual incomparability: a stored subset at an equal-or-smaller
+        # distance makes the stored superset non-SP-minimal.
+        for a, (da, ma) in enumerate(pairs):
+            for db, mb in pairs[a + 1 :]:
+                if ma != mb and ma & mb == ma and da <= db:
+                    bad(
+                        "incomparable", i, u,
+                        f"entry ({db}, {mask_to_str(mb)}) is dominated by "
+                        f"its stored subset ({da}, {mask_to_str(ma)}) — "
+                        "not SP-minimal",
+                    )
+                if ma != mb and ma & mb == mb and db <= da:
+                    bad(
+                        "incomparable", i, u,
+                        f"entry ({da}, {mask_to_str(ma)}) is dominated by "
+                        f"its stored subset ({db}, {mask_to_str(mb)}) — "
+                        "not SP-minimal",
+                    )
     return out
 
 
 def _spot_check_powcov(
     graph: EdgeLabeledGraph,
-    flat: list[dict[int, list[tuple[int, int]]]],
+    table: "PowCovTable",
     landmarks: list[int],
     side: str,
     samples: int,
@@ -280,8 +307,7 @@ def _spot_check_powcov(
     out: list[AuditViolation] = []
     population = [
         (i, u, d, mask)
-        for i, entries in enumerate(flat)
-        for u, pairs in entries.items()
+        for i, u, pairs in _pair_entries(table)
         for d, mask in pairs
     ]
     if not population:
@@ -342,21 +368,19 @@ def audit_powcov(
     if not getattr(index, "_built", False):
         raise ValueError("audit_powcov requires a built index (call build() first)")
     graph = index.graph
-    flat = index._flat  # noqa: SLF001 - the auditor is a friend module
-    out = _audit_powcov_tables(graph, flat, index.landmarks, side="")
     rng = random.Random(seed)
-    out.extend(_spot_check_powcov(graph, flat, index.landmarks, "", samples, rng))
-    if graph.directed and index._flat_reverse:  # noqa: SLF001
-        reversed_graph = graph.reversed()
-        flat_reverse = index._flat_reverse  # noqa: SLF001
-        out.extend(
-            _audit_powcov_tables(graph, flat_reverse, index.landmarks, side="reverse")
-        )
-        out.extend(
-            _spot_check_powcov(
-                reversed_graph, flat_reverse, index.landmarks, "reverse", samples, rng
-            )
-        )
+    out: list[AuditViolation] = []
+    sides = [("", graph, index.forward)]
+    if index.reverse is not None:
+        sides.append(("reverse", graph.reversed(), index.reverse))
+    for side, sweep_graph, table in sides:
+        assert table is not None
+        violations = _audit_powcov_tables(graph, table, index.landmarks, side)
+        out.extend(violations)
+        if not any(v.check == "powcov.table-offsets" for v in violations):
+            out.extend(_spot_check_powcov(
+                sweep_graph, table, index.landmarks, side, samples, rng
+            ))
     return out
 
 

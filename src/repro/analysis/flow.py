@@ -21,7 +21,7 @@ replays the final states through three checkers:
 ``REPRO012`` / ``REPRO013`` (resources)
     Allocation-site lifecycle tracking for the shared-memory layer
     (``SharedGraphPack`` / ``SharedMemory`` / ``attach_graph``: REPRO012)
-    and for ``np.memmap`` handles plus read-only ``MappedTable`` columns
+    and for ``np.memmap`` handles plus read-only ``PowCovTable`` columns
     (REPRO013): use-after-close, ``unlink()`` before ``close()``, handles
     leaked on normal or exception paths, and writes into read-only views.
 
@@ -120,17 +120,19 @@ _CSR_READONLY = {
     "neighbors": AbstractValue(kind="array", domain=Domain.VERTEX, readonly=True),
     "edge_labels": AbstractValue(kind="array", readonly=True),
 }
-#: MappedTable column attributes (mmap-backed, mode="r").
+#: PowCovTable column attributes (possibly mmap-backed, mode="r").
 _MAPPED_COLUMNS = {
-    "key": AbstractValue(dtypes=dtype_set(DType.INT64), kind="array", readonly=True),
+    "offsets": AbstractValue(
+        dtypes=dtype_set(DType.INT64), kind="array", readonly=True
+    ),
     "dist": AbstractValue(
-        dtypes=dtype_set(DType.FLOAT64),
+        dtypes=dtype_set(DType.INT32, DType.FLOAT64),
         kind="array",
         domain=Domain.DIST,
         readonly=True,
     ),
     "mask": AbstractValue(
-        dtypes=dtype_set(DType.UINT64),
+        dtypes=dtype_set(DType.INT64),
         kind="array",
         domain=Domain.MASK,
         readonly=True,
@@ -692,7 +694,7 @@ class _FunctionAnalyzer:
                     target,
                     "REPRO013",
                     "store into a read-only array view (memmap mode='r' / "
-                    "MappedTable column / CSR accessor)",
+                    "PowCovTable column / CSR accessor)",
                 )
             if (
                 report
@@ -1105,7 +1107,7 @@ class _FunctionAnalyzer:
                     node,
                     "REPRO013",
                     f".{name}() mutates a read-only array view (memmap "
-                    "mode='r' / MappedTable column / CSR accessor)",
+                    "mode='r' / PowCovTable column / CSR accessor)",
                 )
             return AbstractValue(kind="scalar")
         if name == "copy":

@@ -124,7 +124,7 @@ RULES: dict[str, str] = {
     "(flow-sensitive)",
     "REPRO012": "shared-memory handles follow the close/unlink lifecycle: "
     "no use-after-close, no leak on any path (flow-sensitive)",
-    "REPRO013": "memmap/MappedTable handles are released and their "
+    "REPRO013": "memmap/PowCovTable handles are released and their "
     "read-only views never written (flow-sensitive)",
     "REPRO014": "private repro.kernels backends are imported only inside "
     "repro.kernels; go through resolve_kernel",

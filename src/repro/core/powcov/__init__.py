@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from .index import PowCovIndex, get_default_builder, set_default_builder
+from .index import PowCovIndex
 from .spminimal import (
+    BuildCounters,
     LandmarkSPMinimal,
     brute_force_sp_minimal,
     generate_candidates,
@@ -11,6 +12,7 @@ from .spminimal import (
     traverse_powerset,
 )
 from .stats import IndexSizeReport, compare_index_sizes
+from .table import PowCovTable, TableBlock, block_from_result
 from .waves import traverse_powerset_waves, wave_schedule
 from .weighted import WeightedPowCovIndex, weighted_sp_minimal
 
@@ -18,12 +20,14 @@ __all__ = [
     "PowCovIndex",
     "WeightedPowCovIndex",
     "weighted_sp_minimal",
+    "PowCovTable",
+    "TableBlock",
+    "block_from_result",
+    "BuildCounters",
     "LandmarkSPMinimal",
     "brute_force_sp_minimal",
     "generate_candidates",
     "generate_candidates_apriori",
-    "get_default_builder",
-    "set_default_builder",
     "traverse_powerset",
     "traverse_powerset_waves",
     "wave_schedule",

@@ -54,6 +54,7 @@ from ...graph.traversal import (
 
 __all__ = [
     "BIG",
+    "BuildCounters",
     "LandmarkSPMinimal",
     "generate_candidates",
     "generate_candidates_apriori",
@@ -63,6 +64,18 @@ __all__ = [
 
 #: Internal "infinite" distance; small enough that sums cannot overflow int32.
 BIG = np.int32(2**30)
+
+
+@dataclass(frozen=True)
+class BuildCounters:
+    """What one landmark's build did: the counters of a
+    :class:`LandmarkSPMinimal` without its entry dict."""
+
+    landmark: int
+    num_sssp: int
+    num_full_tests: int
+    num_auto_minimal: int
+    total_entries: int
 
 
 @dataclass
@@ -90,6 +103,16 @@ class LandmarkSPMinimal:
         if not self.entries:
             return 0
         return max(len(pairs) for pairs in self.entries.values())
+
+    def counters(self) -> BuildCounters:
+        """The build statistics, detached from the entry dict."""
+        return BuildCounters(
+            landmark=self.landmark,
+            num_sssp=self.num_sssp,
+            num_full_tests=self.num_full_tests,
+            num_auto_minimal=self.num_auto_minimal,
+            total_entries=self.total_entries,
+        )
 
 
 def _clean(dist: np.ndarray) -> np.ndarray:

@@ -96,11 +96,12 @@ def weighted_sp_minimal(
 class WeightedPowCovIndex(PowCovIndex):
     """PowCov over a weighted edge-labeled graph.
 
-    Identical query processing to :class:`PowCovIndex` (the flat layout
-    works unchanged with float distances); only the build step differs.
+    Identical query processing to :class:`PowCovIndex` (the table keeps
+    float64 distances); only the build step differs.
     """
 
     name = "powcov-weighted"
+    dist_dtype = np.float64
 
     def __init__(
         self,
@@ -113,10 +114,7 @@ class WeightedPowCovIndex(PowCovIndex):
             # The reversed-graph pass would need the weights re-permuted to
             # the reversed arc order; not implemented yet.
             raise ValueError("weighted PowCov supports undirected graphs only")
-        super().__init__(
-            graph, landmarks, builder="traverse", storage="flat",
-            estimator=estimator,
-        )
+        super().__init__(graph, landmarks, builder="traverse", estimator=estimator)
         if len(weights) != graph.num_arcs:
             raise ValueError("weights must be parallel to the arc arrays")
         self.weights = np.asarray(weights, dtype=np.float64)

@@ -7,10 +7,12 @@ the files are portable and safe to load.
 
 Formats
 -------
-PowCov: the per-(landmark, vertex) SP-minimal entries are flattened into
-four parallel arrays (``landmark_idx``, ``vertex``, ``distance``, ``mask``)
-plus the landmark list and metadata; loading regroups them.  Directed
-indexes store the reversed-table arrays alongside.
+PowCov: each table's entries as four parallel per-entry arrays
+(``landmark_idx``, ``vertex``, ``distance``, ``mask``) plus the landmark
+list and metadata; both directions of the conversion are vectorized
+(:meth:`~repro.core.powcov.table.PowCovTable.to_coo` /
+:meth:`~repro.core.powcov.table.PowCovTable.from_coo`).  Directed indexes
+store the reverse-table arrays alongside.
 
 ChromLand: the ``mono`` / ``bi`` (and directed ``mono_in``) matrices plus
 landmark/color arrays are stored verbatim.
@@ -19,9 +21,9 @@ The graph itself is *not* embedded — the caller supplies it on load (it
 has its own persistence in :mod:`repro.graph.io`) and a fingerprint check
 rejects mismatched graphs.
 
-The ``.npz`` archives here are the *eager* format: loading regroups the
-arrays into Python dicts before the first query.  The mmap-able store
-format (:mod:`repro.store`) skips that cold-start cost entirely;
+The ``.npz`` archives here are the *eager* format: loading decompresses
+and re-sorts every array before the first query.  The mmap-able store
+format (:mod:`repro.store`) maps the table columns instead;
 :func:`save_index` / :func:`load_index` dispatch between the two (the
 loader sniffs the file magic, so either format round-trips through the
 same call).  Malformed or version-skewed payloads raise
@@ -38,8 +40,7 @@ from ..graph.fingerprint import graph_fingerprint
 from ..graph.labeled_graph import EdgeLabeledGraph
 from ..store.format import FormatError, is_store_file
 from .chromland import ChromLandIndex
-from .powcov import PowCovIndex
-from .powcov.spminimal import LandmarkSPMinimal
+from .powcov import PowCovIndex, PowCovTable
 
 __all__ = [
     "NPZ_FORMAT_VERSION",
@@ -62,45 +63,6 @@ NPZ_FORMAT_VERSION = 1
 # it is re-imported above and stays part of this module's public API.
 
 
-def _entries_to_arrays(per_landmark: list[LandmarkSPMinimal]):
-    total = sum(r.total_entries for r in per_landmark)
-    landmark_idx = np.empty(total, dtype=np.int32)
-    vertex = np.empty(total, dtype=np.int64)
-    distance = np.empty(total, dtype=np.float64)
-    mask = np.empty(total, dtype=np.int64)
-    pos = 0
-    for i, result in enumerate(per_landmark):
-        for u, pairs in result.entries.items():
-            for d, m in pairs:
-                landmark_idx[pos] = i
-                vertex[pos] = u
-                distance[pos] = d
-                mask[pos] = m
-                pos += 1
-    return landmark_idx, vertex, distance, mask
-
-
-def _arrays_to_entries(
-    num_landmarks: int,
-    landmark_idx: np.ndarray,
-    vertex: np.ndarray,
-    distance: np.ndarray,
-    mask: np.ndarray,
-    landmarks: list[int],
-) -> list[LandmarkSPMinimal]:
-    per_landmark = [
-        LandmarkSPMinimal(landmark=landmarks[i]) for i in range(num_landmarks)
-    ]
-    integral = np.all(distance == np.floor(distance))
-    for i, u, d, m in zip(landmark_idx, vertex, distance, mask):
-        value = int(d) if integral else float(d)
-        per_landmark[int(i)].entries.setdefault(int(u), []).append((value, int(m)))
-    for result in per_landmark:
-        for pairs in result.entries.values():
-            pairs.sort()
-    return per_landmark
-
-
 def _check_npz_version(path: str | os.PathLike, data) -> None:
     """Reject payloads with a missing or unknown format-version field."""
     if "format_version" not in data:
@@ -116,37 +78,25 @@ def _check_npz_version(path: str | os.PathLike, data) -> None:
         )
 
 
-def _reject_mapped(index: PowCovIndex | ChromLandIndex) -> None:
-    if getattr(index, "is_mapped", False):
-        raise ValueError(
-            "mapped indexes are serving-only; save the originally built index"
-        )
-
-
 def save_powcov(index: PowCovIndex, path: str | os.PathLike) -> None:
-    """Serialize a built PowCov index (flat storage layouts only)."""
-    _reject_mapped(index)
+    """Serialize a built PowCov index."""
     if not index._built:  # noqa: SLF001 - serialization is a friend module
         raise ValueError("build the index before saving it")
-    forward = _entries_to_arrays(index.per_landmark)
     payload = {
         "kind": np.str_("powcov"),
         "format_version": np.int64(NPZ_FORMAT_VERSION),
         "fingerprint": graph_fingerprint(index.graph),
         "landmarks": np.asarray(index.landmarks, dtype=np.int64),
         "estimator": np.str_(index.estimator),
-        "fwd_landmark": forward[0],
-        "fwd_vertex": forward[1],
-        "fwd_distance": forward[2],
-        "fwd_mask": forward[3],
         "directed": np.bool_(index.graph.directed),
     }
-    if index.graph.directed:
-        reverse = _entries_to_arrays(index.per_landmark_reverse)
-        payload.update(
-            rev_landmark=reverse[0], rev_vertex=reverse[1],
-            rev_distance=reverse[2], rev_mask=reverse[3],
-        )
+    for prefix, table in (("fwd", index.forward), ("rev", index.reverse)):
+        if table is not None:
+            landmark_idx, vertex, distance, mask = table.to_coo()
+            payload[f"{prefix}_landmark"] = landmark_idx
+            payload[f"{prefix}_vertex"] = vertex
+            payload[f"{prefix}_distance"] = distance
+            payload[f"{prefix}_mask"] = mask
     np.savez_compressed(path, **payload)
 
 
@@ -159,21 +109,19 @@ def load_powcov(path: str | os.PathLike, graph: EdgeLabeledGraph) -> PowCovIndex
         if np.int64(data["fingerprint"]) != graph_fingerprint(graph):
             raise FormatError("index file was built for a different graph")
         landmarks = [int(x) for x in data["landmarks"]]
-        index = PowCovIndex(
-            graph, landmarks, storage="flat", estimator=str(data["estimator"])
-        )
-        index.per_landmark = _arrays_to_entries(
-            len(landmarks), data["fwd_landmark"], data["fwd_vertex"],
-            data["fwd_distance"], data["fwd_mask"], landmarks,
-        )
-        index._flat = [r.entries for r in index.per_landmark]
-        if bool(data["directed"]):
-            index.per_landmark_reverse = _arrays_to_entries(
-                len(landmarks), data["rev_landmark"], data["rev_vertex"],
-                data["rev_distance"], data["rev_mask"], landmarks,
+        k, n = len(landmarks), graph.num_vertices
+
+        def table(prefix: str) -> PowCovTable:
+            return PowCovTable.from_coo(
+                data[f"{prefix}_landmark"], data[f"{prefix}_vertex"],
+                data[f"{prefix}_distance"], data[f"{prefix}_mask"], k, n,
             )
-            index._flat_reverse = [r.entries for r in index.per_landmark_reverse]
-        index._built = True
+
+        index = PowCovIndex.from_tables(
+            graph, landmarks, table("fwd"),
+            table("rev") if bool(data["directed"]) else None,
+            estimator=str(data["estimator"]),
+        )
         #: checked by the engine session against the live graph on open.
         index.stored_fingerprint = int(data["fingerprint"])
         return index
@@ -181,7 +129,6 @@ def load_powcov(path: str | os.PathLike, graph: EdgeLabeledGraph) -> PowCovIndex
 
 def save_chromland(index: ChromLandIndex, path: str | os.PathLike) -> None:
     """Serialize a built ChromLand index."""
-    _reject_mapped(index)
     if index.mono is None:
         raise ValueError("build the index before saving it")
     payload = {
@@ -264,7 +211,7 @@ def load_index(
 ) -> PowCovIndex | ChromLandIndex:
     """Load any persisted index for ``graph``, autodetecting the format.
 
-    Store files (sniffed by magic) open as zero-copy mapped indexes;
+    Store files (sniffed by magic) open with their sections mapped;
     ``.npz`` archives deserialize eagerly through :func:`load_powcov` /
     :func:`load_chromland`.  Either way the loaded index carries
     ``stored_fingerprint`` and has been verified against ``graph``.

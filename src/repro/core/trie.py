@@ -8,16 +8,18 @@ sequences; common prefixes share nodes, and the query the PowCov index needs
 descends into children whose label is in ``C``.
 
 The trie also supports exact-match lookups and enumeration, and exposes
-``node_count`` for the storage-ablation benchmark.
+``node_count`` for the storage-ablation benchmark.  The PowCov index
+itself answers from its pair CSR table; :func:`distance_groups` rebuilds
+the Section 3.1 grouping from one pair of that table as an ablation view.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from ..graph.labelsets import label_bit, labels_from_mask
 
-__all__ = ["LabelSetTrie"]
+__all__ = ["LabelSetTrie", "distance_groups", "first_subset_distance"]
 
 
 class _Node:
@@ -149,3 +151,30 @@ class LabelSetTrie:
             count += 1
             stack.extend(node.children.values())
         return count
+
+
+def distance_groups(
+    dists: Iterable[float], masks: Iterable[int]
+) -> list[tuple[float, LabelSetTrie]]:
+    """Group one pair's (distance, mask)-sorted entries by distance.
+
+    Each distinct distance gets one trie holding its label sets — the
+    Section 3.1 layout, built from a PowCov table pair
+    (``table.pair(i, u)``) for the storage ablation.
+    """
+    groups: list[tuple[float, LabelSetTrie]] = []
+    for dist, mask in zip(dists, masks):
+        if not groups or groups[-1][0] != dist:
+            groups.append((dist, LabelSetTrie()))
+        groups[-1][1].insert(int(mask))
+    return groups
+
+
+def first_subset_distance(
+    groups: list[tuple[float, LabelSetTrie]], constraint_mask: int
+) -> float:
+    """Theorem 1 over a grouped pair: the first group holding a subset."""
+    for dist, trie in groups:
+        if trie.contains_subset_of(constraint_mask):
+            return float(dist)
+    return float("inf")

@@ -80,14 +80,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker processes for index construction "
                         "(1 = serial, 0 = all cores); output is identical "
                         "for every worker count")
-    parser.add_argument("--build-kernel", choices=["scalar", "wave"],
-                        default="scalar",
-                        help="PowCov per-landmark build kernel: 'scalar' "
-                        "runs one constrained BFS per candidate mask, "
-                        "'wave' answers whole cardinality waves with the "
-                        "batched multi-mask BFS; the built index is "
-                        "bit-identical either way, only build time and "
-                        "memory differ")
     parser.add_argument("--kernel", choices=["numpy", "numba", "cext", "auto"],
                         default=None,
                         help="compiled-kernel backend for the hot loops "
@@ -184,10 +176,6 @@ def main(argv: list[str] | None = None) -> int:
         from ..perf.parallel import ParallelConfig, set_default_parallel
 
         set_default_parallel(ParallelConfig(num_workers=args.workers))
-    if args.build_kernel == "wave":
-        from ..core.powcov import set_default_builder
-
-        set_default_builder("wave")
     if args.kernel is not None:
         from ..kernels import set_default_kernel
 

@@ -97,8 +97,7 @@ def run_powcov(
     strategy: str = "greedy-mvc",
     seed: int | None = 0,
     baseline_seconds: float | None = None,
-    builder: str | None = None,
-    storage: str = "flat",
+    builder: str = "wave",
     parallel: "ParallelConfig | int | None" = None,
     engine: "EngineConfig | bool | None" = None,
     index_store: "IndexStore | None" = None,
@@ -107,9 +106,9 @@ def run_powcov(
 
     ``parallel`` is forwarded to :meth:`PowCovIndex.build`; ``None`` picks
     up the process-wide default (the CLI's ``--workers`` flag), keeping the
-    built index bit-for-bit identical either way.  ``builder=None``
-    likewise defers to the process-wide default build kernel (the CLI's
-    ``--build-kernel`` flag).  ``engine`` selects the
+    built index bit-for-bit identical either way.  ``builder`` names the
+    PowCov builder (every builder yields the same table).  ``engine``
+    selects the
     query-execution path (scalar vs. batched, see
     :func:`repro.eval.metrics.evaluate_oracle`); answers are identical,
     only timing and engine counters change.
@@ -120,9 +119,8 @@ def run_powcov(
     loaded instead of rebuilt — ``build_seconds`` then measures the load —
     and a freshly built index is persisted back.  Loaded indexes answer
     queries bit-identically to freshly built ones, so the evaluated
-    metrics are unchanged; a store-format load serves through the mapped
-    (zero-copy) query path, whose layout the loader picks, superseding
-    ``storage``.
+    metrics are unchanged; a store-format load serves straight off the
+    mapped table columns.
     """
     store = index_store if index_store is not None else get_default_index_store()
     tag = f"k{k}-{strategy}-s{seed}"
@@ -133,9 +131,9 @@ def run_powcov(
         with span("eval.powcov_build", k=k, strategy=strategy), profile_phase(
             f"powcov-build-k{k}"
         ):
-            index = PowCovIndex(
-                graph, landmarks, builder=builder, storage=storage
-            ).build(parallel=parallel)
+            index = PowCovIndex(graph, landmarks, builder=builder).build(
+                parallel=parallel
+            )
         if store is not None:
             store.save(index, tag=tag)
     build_seconds = time.perf_counter() - started

@@ -314,14 +314,30 @@ class GraphRegistry:
         Live sessions rebind, migrating still-valid cached answers and
         invalidating the rest (no stale answers, tested in
         ``tests/test_serve_registry.py``).
+
+        All or nothing: if any repair raises, every oracle whose repair
+        started is dropped with its session (their loaders reopen the old
+        version on next touch) and the graph stays at the old version, so
+        a retry against the old parent succeeds.
         """
-        from ..core.dynamic import repair_index  # local: heavy import
+        from ..core import dynamic  # local: heavy import
 
         with self._lock:
             entry = self._entry(name)
             new_graph = apply_delta(entry.graph, delta)
+            started: list[str] = []
+            try:
+                for kind, oracle in entry.oracles.items():
+                    started.append(kind)
+                    dynamic.repair_index(oracle, new_graph)
+            except Exception:
+                for kind in started:
+                    del entry.oracles[kind]
+                    session = self._sessions.pop((name, kind), None)
+                    if session is not None:
+                        session.publish_stats()
+                raise
             for kind, oracle in entry.oracles.items():
-                repair_index(oracle, new_graph)
                 session = self._sessions.get((name, kind))
                 if session is not None:
                     session.rebind(oracle)

@@ -6,9 +6,9 @@ Layered so that importing the package stays cheap and cycle-free:
   :mod:`repro.store.compress` (varint/delta codecs) depend on numpy and
   the stdlib only and load eagerly — ``repro.core.serialize`` imports
   :class:`FormatError` from here at module import time.
-* :mod:`repro.store.index_store`, :mod:`repro.store.mapped` and
-  :mod:`repro.store.cache` pull in the index and engine packages; they
-  load lazily through module ``__getattr__`` on first attribute access.
+* :mod:`repro.store.index_store` and :mod:`repro.store.cache` pull in the
+  index packages; they load lazily through module ``__getattr__`` on
+  first attribute access.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ __all__ = [
     "save_graph",
     "open_graph",
     "STORE_SUFFIX",
-    "MappedPowCovIndex",
-    "MappedPowCovExecutor",
-    "MappedTable",
     "IndexStore",
     "set_default_index_store",
     "get_default_index_store",
@@ -53,9 +50,6 @@ _LAZY = {
     "save_graph": "index_store",
     "open_graph": "index_store",
     "STORE_SUFFIX": "index_store",
-    "MappedPowCovIndex": "mapped",
-    "MappedPowCovExecutor": "mapped",
-    "MappedTable": "mapped",
     "IndexStore": "cache",
     "set_default_index_store": "cache",
     "get_default_index_store": "cache",

@@ -8,8 +8,8 @@ on-disk representation: ``"mmap"`` (the zero-copy store format, default)
 or ``"npz"`` (the eager fallback in :mod:`repro.core.serialize`).
 
 The process-wide default mirrors the other opt-in defaults
-(:func:`repro.core.powcov.set_default_builder`,
-:func:`repro.perf.parallel.set_default_parallel`): the eval CLI's
+(:func:`repro.perf.parallel.set_default_parallel`,
+:func:`repro.kernels.set_default_kernel`): the eval CLI's
 ``--save-index`` / ``--load-index`` flags route through
 :func:`set_default_index_store`, and the eval runners consult
 :func:`get_default_index_store` before rebuilding an index from scratch.

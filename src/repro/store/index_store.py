@@ -8,20 +8,21 @@ the serving structures:
   int64, ``neighbors`` int32, ``edge_labels`` int16), so
   :class:`~repro.graph.labeled_graph.EdgeLabeledGraph` adopts the memmap
   views without copying.
-* ``kind="powcov"`` — the PowCov entries as flat parallel arrays globally
-  sorted by ``key = landmark_index * n + vertex`` (distance, then mask,
-  within a key).  :func:`open_index` wraps them in a
-  :class:`~repro.store.mapped.MappedPowCovIndex`; no per-landmark dicts are
-  ever rebuilt.
+* ``kind="powcov"`` — each direction's
+  :class:`~repro.core.powcov.table.PowCovTable` columns verbatim
+  (``fwd_offsets`` / ``fwd_dist`` / ``fwd_mask``, plus ``rev_*`` for
+  directed indexes).  :func:`open_index` returns a plain
+  :class:`PowCovIndex` whose table columns are the mapped sections, so a
+  store-opened index queries, repairs and re-saves like a built one.
 * ``kind="chromland"`` — the ``mono`` / ``bi`` (and directed ``mono_in``)
   matrices verbatim; a regular :class:`ChromLandIndex` serves directly off
   the mapped matrices.
 
 ``compress=True`` runs the integer sections through
-:mod:`repro.store.compress` (delta-varint for the sorted key/``indptr``
-sections, plain varint elsewhere); compressed sections decode eagerly on
-open, trading the page-fault laziness for file size — the index-store
-benchmark reports the measured trade-off.  Float distance sections
+:mod:`repro.store.compress` (delta-varint for the sorted ``*_offsets`` /
+``indptr`` sections, plain varint elsewhere); compressed sections decode
+eagerly on open, trading the page-fault laziness for file size — the
+index-store benchmark reports the measured trade-off.  Float distance sections
 (weighted PowCov) always stay raw.
 
 Every file records the owning graph's fingerprint; the readers verify it
@@ -37,11 +38,10 @@ from typing import Any
 import numpy as np
 
 from ..core.chromland import ChromLandIndex
-from ..core.powcov import PowCovIndex
+from ..core.powcov import PowCovIndex, PowCovTable
 from ..graph.labeled_graph import EdgeLabeledGraph
 from ..graph.labelsets import LabelUniverse
 from .format import FormatError, Store, write_store
-from .mapped import MappedPowCovIndex, MappedTable
 
 __all__ = [
     "STORE_SUFFIX",
@@ -85,33 +85,24 @@ def _check_fingerprint(store: Store, graph: EdgeLabeledGraph) -> int:
 def _powcov_sections(
     index: PowCovIndex, compress: bool
 ) -> list[tuple[str, np.ndarray, str | None]]:
-    from ..core.serialize import _entries_to_arrays  # local: avoids cycle
-
-    n = index.graph.num_vertices
-    tables = [("fwd", index.per_landmark)]
-    if index.graph.directed:
-        tables.append(("rev", index.per_landmark_reverse))
     sections: list[tuple[str, np.ndarray, str | None]] = []
-    for prefix, per_landmark in tables:
-        landmark_idx, vertex, distance, mask = _entries_to_arrays(per_landmark)
-        key = landmark_idx.astype(np.int64) * n + vertex
-        # Global sort by (key, distance, mask): within one (landmark,
-        # vertex) pair this is exactly the flat layout's list order, so the
-        # mapped first-subset-hit scan returns the Theorem 1 minimum.
-        order = np.lexsort((mask, distance, key))
-        key = key[order]
-        distance = distance[order]
-        mask = mask[order]
-        integral = bool(np.all(distance == np.floor(distance)))
-        sections.append((f"{prefix}_key", key, _codec(compress, sorted_values=True)))
-        if integral:
-            sections.append(
-                (f"{prefix}_dist", distance.astype(np.int64), _codec(compress))
-            )
-        else:
-            sections.append((f"{prefix}_dist", distance, None))
-        sections.append((f"{prefix}_mask", mask, _codec(compress)))
+    for prefix, table in (("fwd", index.forward), ("rev", index.reverse)):
+        if table is None:
+            continue
+        dist_codec = _codec(compress) if table.dist.dtype.kind == "i" else None
+        sections += [
+            (f"{prefix}_offsets", table.offsets, _codec(compress, sorted_values=True)),
+            (f"{prefix}_dist", table.dist, dist_codec),
+            (f"{prefix}_mask", table.mask, _codec(compress)),
+        ]
     return sections
+
+
+def _open_table(store: Store, prefix: str, k: int, n: int) -> PowCovTable:
+    return PowCovTable(
+        store.array(f"{prefix}_offsets"), store.array(f"{prefix}_dist"),
+        store.array(f"{prefix}_mask"), k, n,
+    )
 
 
 def save_index(
@@ -122,16 +113,13 @@ def save_index(
     """Write a built index as a store file (see the module docstring)."""
     from ..core.serialize import graph_fingerprint  # local: avoids cycle
 
-    if getattr(index, "is_mapped", False):
-        raise ValueError(
-            "mapped indexes are serving-only; save the originally built index"
-        )
     fingerprint = int(graph_fingerprint(index.graph))
     if isinstance(index, PowCovIndex):
         if not index._built:  # noqa: SLF001 - store is a friend module
             raise ValueError("build the index before saving it")
         meta = {
             "fingerprint": fingerprint,
+            "builder": index.builder,
             "estimator": index.estimator,
             "directed": index.graph.directed,
             "num_vertices": index.graph.num_vertices,
@@ -169,7 +157,7 @@ def save_index(
 def open_index(
     path: str | os.PathLike[str], graph: EdgeLabeledGraph
 ) -> PowCovIndex | ChromLandIndex:
-    """Open a store file for ``graph``: mapped PowCov or ChromLand index.
+    """Open a store file for ``graph``: a PowCov or ChromLand index.
 
     Opening reads the header only; index sections fault in lazily as
     queries touch them (compressed sections decode on first access).
@@ -177,25 +165,22 @@ def open_index(
     store = Store(path)
     if store.kind == "powcov":
         stored = _check_fingerprint(store, graph)
+        if "fwd_key" in store:
+            raise FormatError(
+                f"{store.path}: PowCov file in the retired key-sorted layout; "
+                "rebuild the index and save it again"
+            )
         landmarks = [int(x) for x in store.array("landmarks")]
         n = graph.num_vertices
         k = len(landmarks)
-        forward = MappedTable(
-            store.array("fwd_key"), store.array("fwd_dist"),
-            store.array("fwd_mask"), k, n,
-        )
-        reverse = None
-        if "rev_key" in store:
-            reverse = MappedTable(
-                store.array("rev_key"), store.array("rev_dist"),
-                store.array("rev_mask"), k, n,
-            )
+        reverse = _open_table(store, "rev", k, n) if "rev_offsets" in store else None
         (estimator,) = _require_meta(store, "estimator")
-        index: PowCovIndex | ChromLandIndex = MappedPowCovIndex(
-            graph, landmarks, forward, reverse,
-            estimator=str(estimator), stored_fingerprint=stored,
+        index: PowCovIndex | ChromLandIndex = PowCovIndex.from_tables(
+            graph, landmarks, _open_table(store, "fwd", k, n), reverse,
+            builder=str(store.meta.get("builder", "wave")),
+            estimator=str(estimator),
         )
-        index.source_store = store
+        index.stored_fingerprint = stored
         return index
     if store.kind == "chromland":
         stored = _check_fingerprint(store, graph)
@@ -212,7 +197,6 @@ def open_index(
             index.mono_in = store.array("mono_in")
         index._built = True  # noqa: SLF001 - store is a friend module
         index.stored_fingerprint = stored
-        index.source_store = store
         return index
     raise FormatError(
         f"{store.path} does not hold an index (kind={store.kind!r})"

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.store.mapped import MappedTable
+from repro.core.powcov.table import PowCovTable
 
 
 def _read_only_probe(path: str) -> "np.ndarray":
@@ -18,8 +18,8 @@ def _escaped_map(path: str) -> "np.ndarray":
     return np.memmap(path, mode="w+", dtype=np.float64, shape=(8,))
 
 
-def _mutate_a_copy(key: object, payload: object, bits: object) -> "np.ndarray":
-    table = MappedTable(key, payload, bits, 4, 16)
+def _mutate_a_copy(offsets: object, payload: object, bits: object) -> "np.ndarray":
+    table = PowCovTable(offsets, payload, bits, 4, 16)
     scratch = table.dist.copy()  # a private copy is writable
     scratch[0] = 0.0
     return scratch

@@ -1,11 +1,11 @@
 # lint-module: repro/perf/scratch.py
-"""Fixture: memmap/MappedTable misuse — read-only writes, leaked maps."""
+"""Fixture: memmap/PowCovTable misuse — read-only writes, leaked maps."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.store.mapped import MappedTable
+from repro.core.powcov.table import PowCovTable
 
 
 def _write_readonly_map(path: str) -> "np.ndarray":
@@ -19,6 +19,6 @@ def _leaked_map(path: str) -> float:
     return float(view[0])  # writable map dropped without release
 
 
-def _write_table_column(key: object, payload: object, bits: object) -> None:
-    table = MappedTable(key, payload, bits, 4, 16)
+def _write_table_column(offsets: object, payload: object, bits: object) -> None:
+    table = PowCovTable(offsets, payload, bits, 4, 16)
     table.dist[0] = 0.0  # line 24: mmap-backed column is read-only

@@ -24,7 +24,7 @@ from repro.analysis.audit import (
 )
 from repro.core.chromland import ChromLandIndex
 from repro.core.chromland.selection import majority_colors
-from repro.core.powcov import PowCovIndex
+from repro.core.powcov import PowCovIndex, PowCovTable, TableBlock
 from repro.engine import QuerySession
 from repro.graph.labeled_graph import EdgeLabeledGraph
 from repro.graph.generators import chromatic_cluster_graph
@@ -173,11 +173,28 @@ def test_graph_broken_symmetry(graph):
 # ----------------------------------------------------------------------
 def entry_site(index):
     """A (landmark, vertex, pairs) triple with at least one stored entry."""
-    for i, entries in enumerate(index._flat):
-        for u, pairs in entries.items():
-            if pairs:
-                return i, u, pairs
-    raise AssertionError("index stores no entries")
+    table = index.forward
+    pair = int(np.flatnonzero(table.pair_counts())[0])
+    i, u = divmod(pair, table.num_vertices)
+    dists, masks = table.pair(i, u)
+    return i, u, list(zip(dists.tolist(), masks.tolist()))
+
+
+def store_pair(index, i, u, pairs):
+    """Write ``pairs`` (kept in the given order) as pair ``(i, u)``'s entries."""
+    counts, dists, masks = index.forward.block(i)
+    counts = counts.copy()
+    start = int(counts[:u].sum())
+    stop = start + int(counts[u])
+    counts[u] = len(pairs)
+    new_d = np.array([d for d, _ in pairs], dtype=dists.dtype)
+    new_m = np.array([m for _, m in pairs], dtype=np.int64)
+    block = TableBlock(
+        counts,
+        np.concatenate([dists[:start], new_d, dists[stop:]]),
+        np.concatenate([masks[:start], new_m, masks[stop:]]),
+    )
+    index.forward = index.forward.replace_blocks({i: block})
 
 
 def test_powcov_dominated_entry_reported(powcov, graph):
@@ -189,6 +206,7 @@ def test_powcov_dominated_entry_reported(powcov, graph):
     # A superset of the first entry's mask at a larger distance can never be
     # SP-minimal next to its stored subset.
     pairs.append((pairs[-1][0] + 1, m0 | (1 << extra)))
+    store_pair(powcov, i, u, pairs)
     violations = audit_powcov(powcov, samples=0)
     hit = next(v for v in violations if v.check == "powcov.incomparable")
     assert f"landmark {i} (vertex {powcov.landmarks[i]}), vertex {u}" == hit.location
@@ -198,6 +216,7 @@ def test_powcov_dominated_entry_reported(powcov, graph):
 def test_powcov_duplicate_entry_reported(powcov):
     i, u, pairs = entry_site(powcov)
     pairs.append((pairs[-1][0], pairs[-1][1]))
+    store_pair(powcov, i, u, pairs)
     violations = audit_powcov(powcov, samples=0)
     hit = next(v for v in violations if v.check == "powcov.entry-duplicate")
     assert f"vertex {u}" in hit.location
@@ -208,6 +227,7 @@ def test_powcov_wrong_distance_reported(powcov):
     i, u, pairs = entry_site(powcov)
     d0, m0 = pairs[-1]
     pairs[-1] = (d0 + 1, m0)
+    store_pair(powcov, i, u, pairs)
     # Exhaustive sampling guarantees the doctored entry is re-derived.
     violations = audit_powcov(powcov, samples=10_000)
     hits = checks_of(violations)
@@ -216,9 +236,21 @@ def test_powcov_wrong_distance_reported(powcov):
     assert hits & {"powcov.distance", "powcov.sp-minimal", "powcov.incomparable"}
 
 
+def test_powcov_broken_offsets_reported(powcov):
+    table = powcov.forward
+    offsets = np.array(table.offsets)
+    offsets[1], offsets[2] = offsets[2] + 1, offsets[1]
+    powcov.forward = PowCovTable(
+        offsets, table.dist, table.mask, table.num_landmarks, table.num_vertices
+    )
+    violations = audit_powcov(powcov, samples=5)
+    assert checks_of(violations) == {"powcov.table-offsets"}
+
+
 def test_powcov_mask_domain_reported(powcov, graph):
     i, u, pairs = entry_site(powcov)
     pairs.append((pairs[-1][0] + 1, full_mask(graph.num_labels) + 1))
+    store_pair(powcov, i, u, pairs)
     violations = audit_powcov(powcov, samples=0)
     assert "powcov.entry-mask-domain" in checks_of(violations)
 
@@ -277,6 +309,7 @@ def test_assert_clean_and_format_report(powcov):
 
     i, u, pairs = entry_site(powcov)
     pairs.append((pairs[-1][0], pairs[-1][1]))
+    store_pair(powcov, i, u, pairs)
     violations = audit_powcov(powcov, samples=0)
     report = format_report(violations)
     assert "violation(s)" in report
@@ -296,6 +329,7 @@ def test_session_audit_flag(powcov):
 
     i, u, pairs = entry_site(powcov)
     pairs.append((pairs[-1][0], pairs[-1][1]))
+    store_pair(powcov, i, u, pairs)
     with pytest.raises(AuditError):
         QuerySession(powcov, audit=True)
     # The flag is opt-in: an unaudited session still constructs.

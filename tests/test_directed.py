@@ -45,18 +45,13 @@ def setup():
 
 
 class TestDirectedPowCov:
-    @pytest.mark.parametrize("storage", ["packed", "trie"])
-    def test_rejects_non_flat_storage(self, storage):
-        # Documented in the PowCovIndex docstring: directed graphs keep a
-        # reversed-graph table that only the flat layout serves, so the
-        # restriction must surface at construction time for both layouts.
+    def test_directed_index_has_reverse_table(self):
+        # A directed index keeps a second table of the forward table's
+        # shape for the vertex -> landmark legs.
         graph = directed_random(seed=1)
-        with pytest.raises(ValueError, match="flat"):
-            PowCovIndex(graph, [0], storage=storage)
-
-    def test_flat_storage_accepted(self):
-        graph = directed_random(seed=1)
-        PowCovIndex(graph, [0], storage="flat")  # must not raise
+        index = PowCovIndex(graph, [0, 5]).build()
+        assert index.reverse is not None
+        assert len(index.reverse.offsets) == len(index.forward.offsets)
 
     def test_landmark_distance_both_directions(self, setup):
         graph, landmarks, powcov, _ = setup

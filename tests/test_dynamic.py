@@ -2,11 +2,11 @@
 
 Covers ``GraphDelta``/``apply_delta`` semantics (validation, copy-on-write
 adoption, lineage fingerprints), the PowCov repair paths (decrease-only
-insertion repair, dirty-landmark re-sweeps for deletions/relabels, all
-three storage layouts), ChromLand per-sweep repair (undirected and
-directed), the differential harness itself, and a hypothesis-driven
-randomized mutation-sequence check asserting bit-identity with a
-from-scratch rebuild after every delta — the PR's acceptance bar.
+insertion repair, dirty-landmark re-sweeps for deletions/relabels), repair
+of indexes opened from a store file (read-only mapped columns), ChromLand
+per-sweep repair (undirected and directed), the differential harness
+itself, and a hypothesis-driven randomized mutation-sequence check
+asserting bit-identity with a from-scratch rebuild after every delta.
 """
 
 from __future__ import annotations
@@ -190,11 +190,8 @@ class TestGraphDelta:
 # PowCov repair
 # ----------------------------------------------------------------------
 class TestPowCovRepair:
-    @pytest.mark.parametrize("storage", ["flat", "packed", "trie"])
-    def test_insertion_repair_matches_rebuild(
-        self, base_graph, landmarks, storage
-    ):
-        index = PowCovIndex(base_graph, landmarks, storage=storage).build()
+    def test_insertion_repair_matches_rebuild(self, base_graph, landmarks):
+        index = PowCovIndex(base_graph, landmarks).build()
         missing = next(
             (u, v, 1)
             for u in range(base_graph.num_vertices)
@@ -278,9 +275,9 @@ class TestPowCovRepair:
             repair_powcov(index, two)
 
     def test_engine_paths_agree_after_repair(self, base_graph, landmarks):
-        # Regression: the engine memoizes its packed executor on the
-        # oracle's table identity; repair must invalidate it.
-        index = PowCovIndex(base_graph, landmarks, storage="packed").build()
+        # Regression: sessions cache resolved landmark rows per mask; a
+        # rebind after repair must drop them along with the old table.
+        index = PowCovIndex(base_graph, landmarks).build()
         queries = sample_queries(base_graph, seed=3)
         session = QuerySession(index)
         session.run(queries)
@@ -377,6 +374,54 @@ class TestChromLandRepair:
         new_graph = apply_delta(graph, GraphDelta(deletions=((u, v, label),)))
         repair_chromland(index, new_graph)
         assert_repair_matches_rebuild(index, queries=sample_queries(new_graph))
+
+
+# ----------------------------------------------------------------------
+# Repair of indexes opened from a store file
+# ----------------------------------------------------------------------
+class TestStoreOpenedRepair:
+    @pytest.mark.parametrize("kind", ["powcov", "chromland"])
+    def test_mapped_repair_matches_rebuild(
+        self, base_graph, landmarks, kind, tmp_path
+    ):
+        from repro.store.cache import IndexStore
+
+        def build(graph):
+            if kind == "powcov":
+                return PowCovIndex(graph, landmarks).build()
+            return ChromLandIndex(graph, landmarks, [0, 1, 2, 3]).build()
+
+        store = IndexStore(tmp_path)
+        store.save(build(base_graph))
+        index = store.load(kind, base_graph)
+        assert index is not None and index.stored_fingerprint is not None
+        queries = sample_queries(base_graph, count=60, seed=4)
+        session = QuerySession(index)
+        session.run(queries)
+
+        edges = sorted(undirected_edge_set(base_graph))
+        missing = next(
+            (u, v, 1)
+            for u in range(base_graph.num_vertices)
+            for v in range(u + 1, base_graph.num_vertices)
+            if (u, v, 1) not in undirected_edge_set(base_graph)
+        )
+        ru, rv, rl = edges[3]
+        deltas = (
+            GraphDelta(insertions=(missing,)),
+            GraphDelta(deletions=(edges[0],)),
+            GraphDelta(relabels=((ru, rv, rl, (rl + 1) % base_graph.num_labels),)),
+        )
+        graph = base_graph
+        for delta in deltas:
+            graph = apply_delta(graph, delta)
+            stats = repair_index(index, graph)
+            if kind == "powcov":
+                assert not stats.full_rebuild
+            assert_repair_matches_rebuild(index, queries=sample_queries(graph))
+            session.rebind(index)
+            fresh = build(graph)
+            assert session.run(queries) == [fresh.query(*q) for q in queries]
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,9 @@ The engine's contract is *bit-identity*: for every oracle, batch
 execution — with or without answer caching — returns exactly what the
 scalar ``oracle.query`` loop returns, including the edge cases
 (``s == t``, empty constraint masks, unreachable pairs).  The tests here
-sweep that contract across every oracle family and storage layout, then
-cover the planning layer, session caches, counters, and config plumbing.
+sweep that contract across every oracle family (PowCov in memory and
+store-opened), then cover the planning layer, session caches, counters,
+and config plumbing.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.engine.plan import as_triple, to_triple_array
 from repro.graph.generators import labeled_erdos_renyi
 from repro.graph.labeled_graph import EdgeLabeledGraph
 from repro.graph.labelsets import full_mask
+from repro.store.index_store import open_index, save_index
 
 
 def directed_random(n=30, m=120, labels=3, seed=0) -> EdgeLabeledGraph:
@@ -105,9 +107,14 @@ def landmarks():
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("storage", ["flat", "packed", "trie"])
-    def test_powcov_storages(self, undirected, landmarks, storage):
-        index = PowCovIndex(undirected, landmarks, storage=storage).build()
+    @pytest.mark.parametrize("storage", ["memory", "mapped"])
+    def test_powcov_storages(self, undirected, landmarks, storage, tmp_path):
+        index = PowCovIndex(undirected, landmarks).build()
+        if storage == "mapped":
+            path = tmp_path / "powcov.repro"
+            save_index(index, path)
+            index = open_index(path, undirected)
+            assert isinstance(index.forward.dist, np.memmap)
         assert_engine_matches_scalar(index, mixed_batch(undirected))
 
     def test_powcov_median_estimator(self, undirected, landmarks):

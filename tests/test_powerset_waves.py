@@ -4,7 +4,8 @@ The contract under test is *bit-identity*: the wave builder must produce
 exactly the entries (and pruning counters) of the scalar
 ``traverse_powerset`` and of ``brute_force_sp_minimal``, on undirected and
 directed graphs, under every Observation-flag combination, and through
-every ``PowCovIndex`` storage layout and parallel backend.
+``PowCovIndex`` in memory, from a store file and under every parallel
+backend.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.powcov import (
     PowCovIndex,
-    get_default_builder,
-    set_default_builder,
     traverse_powerset_waves,
     wave_schedule,
 )
@@ -28,6 +27,7 @@ from repro.graph.generators import labeled_erdos_renyi
 from repro.graph.labeled_graph import EdgeLabeledGraph
 from repro.graph.labelsets import popcount
 from repro.perf.parallel import ParallelConfig
+from repro.store.index_store import open_index, save_index
 
 
 def directed_random(n=40, m=140, labels=4, seed=0) -> EdgeLabeledGraph:
@@ -139,15 +139,18 @@ class TestBitIdentity:
 
 
 class TestIndexIntegration:
-    def test_wave_builders_match_scalar_across_storages(self):
+    def test_wave_builders_match_scalar_across_storages(self, tmp_path):
+        """Both wave builders, served from memory and from a store file."""
         graph = labeled_erdos_renyi(32, 80, num_labels=4, seed=8)
         landmarks = [0, 11, 22]
         reference = PowCovIndex(graph, landmarks, builder="traverse").build()
         for builder in ("wave", "wave-paper"):
-            for storage in ("flat", "packed", "trie"):
-                index = PowCovIndex(
-                    graph, landmarks, builder=builder, storage=storage
-                ).build()
+            built = PowCovIndex(graph, landmarks, builder=builder).build()
+            path = tmp_path / f"{builder}.repro"
+            save_index(built, path)
+            for storage, index in (("memory", built),
+                                   ("mapped", open_index(path, graph))):
+                assert index.forward.equals(reference.forward)
                 for s in range(0, 32, 5):
                     for t in range(1, 32, 6):
                         for mask in range(1, 16):
@@ -177,22 +180,12 @@ class TestIndexIntegration:
 
 
 class TestDefaultBuilder:
-    def test_default_is_traverse(self):
-        assert get_default_builder() == "traverse"
-
-    def test_set_and_restore(self):
-        try:
-            set_default_builder("wave")
-            assert get_default_builder() == "wave"
-            # An index constructed with builder=None picks up the default.
-            graph = labeled_erdos_renyi(24, 55, num_labels=3, seed=3)
-            index = PowCovIndex(graph, [0, 12])
-            assert index.builder == "wave"
-        finally:
-            set_default_builder(None)
-        assert get_default_builder() == "traverse"
+    def test_default_is_wave(self):
+        graph = labeled_erdos_renyi(24, 55, num_labels=3, seed=3)
+        index = PowCovIndex(graph, [0, 12])
+        assert index.builder == "wave"
 
     def test_rejects_unknown(self):
+        graph = labeled_erdos_renyi(24, 55, num_labels=3, seed=3)
         with pytest.raises(ValueError, match="builder"):
-            set_default_builder("psychic")
-        assert get_default_builder() == "traverse"
+            PowCovIndex(graph, [0, 12], builder="psychic")

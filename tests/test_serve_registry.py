@@ -233,3 +233,41 @@ class TestDeltaRebind:
         assert registry.oracle_kinds("g") == []
         with pytest.raises(UnknownOracleError):
             registry.oracle("g", "powcov")
+
+    def test_failed_repair_leaves_graph_at_old_version(
+        self, tmp_path, graph, monkeypatch
+    ):
+        """A repair that raises part-way must not leave any oracle or
+        session at the new version; a retry against the old parent works."""
+        from repro.core import dynamic
+        from repro.core.chromland import ChromLandIndex
+
+        store = IndexStore(tmp_path)
+        store.save(build_powcov(graph))
+        store.save(ChromLandIndex(graph, [0, 3], [0, 1]).build())
+        registry = GraphRegistry()
+        registry.register_store("g", graph, store)
+        assert registry.session("g", "powcov").run([(0, 5, 1)]) == [5.0]
+        registry.session("g", "chromland").run([(0, 5, 1)])
+
+        real = dynamic.repair_index
+
+        def flaky(index, new_graph):
+            if index.name == "chromland":
+                raise RuntimeError("injected repair failure")
+            return real(index, new_graph)
+
+        monkeypatch.setattr(dynamic, "repair_index", flaky)
+        delta = GraphDelta(insertions=((0, 5, 0),))
+        with pytest.raises(RuntimeError, match="injected"):
+            registry.apply_delta("g", delta)
+        # PowCov was repaired before ChromLand failed: both are dropped, and
+        # their loaders reopen the old version.
+        assert registry.graph("g") is graph
+        assert registry.session_keys() == []
+        assert registry.session("g", "powcov").run([(0, 5, 1)]) == [5.0]
+
+        monkeypatch.setattr(dynamic, "repair_index", real)
+        info = registry.apply_delta("g", delta)
+        assert info["repaired"] == ["powcov"]
+        assert registry.session("g", "powcov").run([(0, 5, 1)]) == [1.0]

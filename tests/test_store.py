@@ -41,7 +41,6 @@ from repro.store.compress import (
     zigzag_encode,
 )
 from repro.store.index_store import open_graph, open_index, save_graph
-from repro.store.mapped import MappedPowCovIndex
 
 from conftest import all_pairs_all_masks
 
@@ -218,6 +217,8 @@ class TestRoundtripMatrix:
     def test_undirected_powcov(self, graph, tmp_path, fmt, compress):
         original = PowCovIndex(graph, [0, 13, 26]).build()
         loaded = _roundtrip(original, tmp_path / "p", fmt, compress)
+        assert loaded.forward.equals(original.forward)
+        assert loaded.forward.dist.dtype == np.int32
         queries = sample_queries(graph)
         assert loaded.batch_query(queries) == original.batch_query(queries)
         assert [loaded.query(*q) for q in queries] == \
@@ -229,6 +230,8 @@ class TestRoundtripMatrix:
     def test_directed_powcov(self, digraph, tmp_path, fmt, compress):
         original = PowCovIndex(digraph, [0, 7, 14]).build()
         loaded = _roundtrip(original, tmp_path / "d", fmt, compress)
+        assert loaded.forward.equals(original.forward)
+        assert loaded.reverse.equals(original.reverse)
         queries = [
             (s, t, mask)
             for s in range(20) for t in range(20) for mask in range(8)
@@ -242,6 +245,7 @@ class TestRoundtripMatrix:
         weights = np.random.default_rng(0).uniform(0.5, 2.0, graph.num_arcs)
         original = WeightedPowCovIndex(graph, [0, 10, 20], weights).build()
         loaded = _roundtrip(original, tmp_path / "w", fmt, compress)
+        assert loaded.forward.equals(original.forward)
         queries = sample_queries(graph)
         assert loaded.batch_query(queries) == original.batch_query(queries)
 
@@ -295,19 +299,42 @@ class TestMappedIndex:
         index = PowCovIndex(graph, [0, 13]).build()
         save_index(index, tmp_path / "p.repro")
         loaded = open_index(tmp_path / "p.repro", graph)
-        assert isinstance(loaded, MappedPowCovIndex)
-        assert loaded.storage == "mapped"
-        assert loaded.is_mapped
+        # A store-opened index is a plain PowCovIndex over mapped columns.
+        assert type(loaded) is PowCovIndex
+        for column in (loaded.forward.offsets, loaded.forward.dist,
+                       loaded.forward.mask):
+            assert isinstance(column, np.memmap)
+            assert not column.flags.writeable
+        assert loaded.forward.equals(index.forward)
         assert loaded.stored_fingerprint == int(graph_fingerprint(graph))
 
-    def test_mapped_resave_rejected(self, graph, tmp_path):
+    def test_mapped_resave_roundtrips(self, graph, tmp_path):
         index = PowCovIndex(graph, [0, 13]).build()
         save_index(index, tmp_path / "p.repro")
         loaded = open_index(tmp_path / "p.repro", graph)
-        with pytest.raises(ValueError, match="serving-only"):
-            save_index(loaded, tmp_path / "q.repro")
-        with pytest.raises(ValueError, match="serving-only"):
-            save_powcov(loaded, tmp_path / "q.npz")
+        save_index(loaded, tmp_path / "q.repro", compress=True)
+        save_powcov(loaded, tmp_path / "q.npz")
+        for again in (open_index(tmp_path / "q.repro", graph),
+                      load_powcov(tmp_path / "q.npz", graph)):
+            assert again.forward.equals(index.forward)
+
+    def test_retired_key_layout_refused(self, graph, tmp_path):
+        # Files from the key-sorted layout (a ``fwd_key`` column) are
+        # refused with a rebuild hint instead of crashing on open.
+        path = tmp_path / "old.repro"
+        write_store(
+            path, "powcov",
+            {"fingerprint": int(graph_fingerprint(graph)),
+             "estimator": "upper", "directed": False},
+            [("landmarks", np.array([0], dtype=np.int64), None),
+             ("fwd_key", np.array([3], dtype=np.int64), None),
+             ("fwd_dist", np.array([1], dtype=np.int64), None),
+             ("fwd_mask", np.array([1], dtype=np.int64), None)],
+        )
+        with pytest.raises(FormatError, match="rebuild"):
+            open_index(path, graph)
+        with pytest.raises(FormatError, match="rebuild"):
+            load_index(path, graph)
 
     def test_mapped_engine_session_bit_identity(self, graph, tmp_path):
         index = PowCovIndex(graph, [0, 13, 26]).build()
@@ -415,7 +442,7 @@ class TestIndexStoreDirectory:
         path = store.save(index, tag="k2")
         assert path is not None and is_store_file(path)
         loaded = store.load("powcov", graph, tag="k2")
-        assert isinstance(loaded, MappedPowCovIndex)
+        assert isinstance(loaded.forward.dist, np.memmap)
         queries = sample_queries(graph)
         assert loaded.batch_query(queries) == index.batch_query(queries)
 
@@ -435,7 +462,7 @@ class TestIndexStoreDirectory:
         path = store.save(index, tag="k2")
         assert path.endswith(".npz")
         loaded = store.load("powcov", graph, tag="k2")
-        assert not getattr(loaded, "is_mapped", False)
+        assert not isinstance(loaded.forward.dist, np.memmap)
         queries = sample_queries(graph)
         assert loaded.batch_query(queries) == index.batch_query(queries)
 
