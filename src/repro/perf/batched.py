@@ -162,7 +162,7 @@ def batched_constrained_bfs(
         level_cap,
     ):
         return dist
-    dist_flat = dist.reshape(-1)
+    dist_cells = dist.reshape(-1)
     # 32-bit addressing whenever the flat (row, vertex) space fits: the
     # claim scratch, stamps, and flat indices then move half the bytes.
     wide = num_sources * n >= 2**31
@@ -272,14 +272,14 @@ def batched_constrained_bfs(
         # the distance scatter, and the dedup claim scatter/gather.
         glob = arc_rows if identity else row_ids[arc_rows]
         flat = glob * idx(n) + targets
-        fresh = dist_flat[flat] == UNREACHABLE
+        fresh = dist_cells[flat] == UNREACHABLE
         arc_rows = arc_rows[fresh]
         targets = targets[fresh]
         if targets.size == 0:
             break
         flat = flat[fresh]
         # Duplicate (row, target) scatters all write the same level.
-        dist_flat[flat] = level
+        dist_cells[flat] = level
         if stamp_base + targets.size > stamp_stop:
             claim.fill(-1)
             stamp_base = 0

@@ -312,6 +312,7 @@ class TestDifferential:
         with a non-covering landmark set (where answers may be inexact)."""
         landmarks = list(range(min(3, graph.num_vertices)))
         reference = None
+        reference_table = None
         for builder in POWCOV_BUILDERS:
             for backend in BACKENDS.values():
                 oracle = PowCovIndex(graph, landmarks, builder=builder).build(
@@ -322,10 +323,14 @@ class TestDifferential:
                 got = answers_via(oracle, queries, "batch")
                 if reference is None:
                     reference = got
+                    reference_table = oracle.forward
                     assert_paths_agree(oracle, queries, reference, builder)
                 else:
                     assert got == reference, (
                         f"{builder} builder diverged from {POWCOV_BUILDERS[0]}"
+                    )
+                    assert oracle.forward.equals(reference_table), (
+                        f"{builder} table diverged from {POWCOV_BUILDERS[0]}"
                     )
 
 
