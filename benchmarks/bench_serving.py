@@ -5,11 +5,11 @@ with closed-loop asyncio clients — no TCP, so the measured ratio is the
 batching effect itself, not socket noise.  Two configurations answer an
 identical workload:
 
-* **batch-size-1** — ``window=0, max_batch=1``: every request is its own
-  engine call (what a naive per-request server does);
-* **micro-batched** — a coalescing window with ``max_batch`` sized to a
-  full client wave, so concurrent requests merge into one planned,
-  mask-grouped ``session.run``.
+* **batch-size-1** — ``max_batch=1``: every request is its own engine
+  call (what a naive per-request server does);
+* **micro-batched** — ``max_batch`` sized to a full client wave, so
+  concurrent requests merge into one planned, mask-grouped
+  ``session.run``.
 
 The acceptance bar asserts micro-batching sustains **≥ 2x** the
 throughput of batch-size-1 serving on the repeated-mask workload the
@@ -57,16 +57,14 @@ def client_requests(graph, seed=BENCH_SEED):
     ]
 
 
-def drive(oracle, requests, window, max_batch):
+def drive(oracle, requests, max_batch):
     """Answer every request closed-loop; returns (answers, seconds)."""
     # cache_size=0: the answer cache must not mask the execution cost
     # difference between the two configurations.
     session = QuerySession(oracle, cache_size=0)
 
     async def scenario():
-        batcher = MicroBatcher(
-            session.run, window=window, max_batch=max_batch
-        )
+        batcher = MicroBatcher(session.run, max_batch=max_batch)
 
         async def client_loop(reqs):
             answers = []
@@ -111,16 +109,14 @@ def test_microbatching_doubles_throughput(benchmark, biogrid,
 
     # Batch-size-1 serving: one engine call per request.
     single, single_seconds = _best_of(
-        lambda: drive(biogrid_powcov, requests, window=0.0, max_batch=1)
+        lambda: drive(biogrid_powcov, requests, max_batch=1)
     )
     check(single)
 
     # Micro-batched serving: a full client wave coalesces per flush.
     wave = CLIENTS * QUERIES_PER_REQUEST
     batched, batched_seconds = _best_of(
-        lambda: drive(
-            biogrid_powcov, requests, window=0.005, max_batch=wave
-        )
+        lambda: drive(biogrid_powcov, requests, max_batch=wave)
     )
     check(batched)
 
@@ -144,9 +140,7 @@ def test_microbatching_doubles_throughput(benchmark, biogrid,
     )
 
     benchmark.pedantic(
-        lambda: drive(
-            biogrid_powcov, requests, window=0.005, max_batch=wave
-        ),
+        lambda: drive(biogrid_powcov, requests, max_batch=wave),
         rounds=3,
         iterations=1,
     )

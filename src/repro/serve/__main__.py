@@ -99,10 +99,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--kernel", default=defaults.kernel,
                         choices=["auto", "numpy", "numba", "cext"],
                         help="execution kernel for the query engine")
-    parser.add_argument("--batch-window", type=float,
-                        default=defaults.batch_window,
-                        help="micro-batch coalescing window in seconds "
-                             "(0 disables)")
     parser.add_argument("--batch-max", type=int, default=defaults.batch_max,
                         help="flush once this many queries are pending")
     parser.add_argument("--workers", type=int, default=defaults.workers,
@@ -130,7 +126,6 @@ def main(argv: list[str] | None = None) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        batch_window=args.batch_window,
         batch_max=args.batch_max,
         workers=args.workers,
         max_sessions=args.max_sessions,
@@ -192,8 +187,7 @@ def main(argv: list[str] | None = None) -> int:
             f"on {server.url}"
         )
         print(
-            f"  batch window {config.batch_window * 1e3:.1f}ms, "
-            f"max batch {config.batch_max}, {config.workers} workers"
+            f"  max batch {config.batch_max}, {config.workers} workers"
         )
         try:
             await asyncio.Event().wait()  # until interrupted

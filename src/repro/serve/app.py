@@ -3,7 +3,7 @@
 Request flow for ``POST /graphs/{name}/query``::
 
     connection handler ──> dispatch ──> MicroBatcher.submit
-                                             │  (coalesce ~2 ms / max_batch)
+                                             │  (coalesce while a batch runs)
                                              ▼
                               ThreadPoolExecutor: session.run(batch)
                                              │  (numpy work off the loop)
@@ -67,18 +67,12 @@ def _env_int(name: str, default: int) -> int:
     return int(raw) if raw else default
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    return float(raw) if raw else default
-
-
 @dataclass
 class ServeConfig:
     """Deployment knobs; every field has a ``REPRO_SERVE_*`` env default."""
 
     host: str = "127.0.0.1"
     port: int = 8321
-    batch_window: float = 0.002
     batch_max: int = 256
     workers: int = 2
     max_sessions: int = 32
@@ -90,7 +84,6 @@ class ServeConfig:
         return cls(
             host=os.environ.get("REPRO_SERVE_HOST", cls.host),
             port=_env_int("REPRO_SERVE_PORT", cls.port),
-            batch_window=_env_float("REPRO_SERVE_BATCH_WINDOW", cls.batch_window),
             batch_max=_env_int("REPRO_SERVE_BATCH_MAX", cls.batch_max),
             workers=_env_int("REPRO_SERVE_WORKERS", cls.workers),
             max_sessions=_env_int("REPRO_SERVE_MAX_SESSIONS", cls.max_sessions),
@@ -174,11 +167,7 @@ class ServeApp:
                         self.executor, self._execute_sync, _name, _kind, triples
                     )
 
-                batcher = MicroBatcher(
-                    execute,
-                    window=self.config.batch_window,
-                    max_batch=self.config.batch_max,
-                )
+                batcher = MicroBatcher(execute, max_batch=self.config.batch_max)
                 self._batchers[key] = batcher
             return batcher
 
@@ -201,14 +190,17 @@ class ServeApp:
         return value
 
     @staticmethod
+    def _check_mask(mask: Any) -> int:
+        if isinstance(mask, bool) or not isinstance(mask, int) or mask < 0:
+            raise HttpError(400, "'mask' must be a non-negative integer")
+        return mask
+
+    @staticmethod
     def _coerce_mask(item: dict[str, Any], num_labels: int) -> int:
         if "mask" in item and "labels" in item:
             raise HttpError(400, "give either 'mask' or 'labels', not both")
         if "mask" in item:
-            mask = item["mask"]
-            if isinstance(mask, bool) or not isinstance(mask, int) or mask < 0:
-                raise HttpError(400, "'mask' must be a non-negative integer")
-            return mask
+            return ServeApp._check_mask(item["mask"])
         if "labels" in item:
             labels = item["labels"]
             if not isinstance(labels, list) or any(
@@ -229,7 +221,12 @@ class ServeApp:
                 raise HttpError(
                     400, "triple-form queries must be [source, target, mask]"
                 )
-            item = {"source": item[0], "target": item[1], "mask": item[2]}
+            source, target, mask = item
+            return (
+                self._coerce_vertex(source, "source", num_vertices),
+                self._coerce_vertex(target, "target", num_vertices),
+                self._check_mask(mask),
+            )
         if not isinstance(item, dict):
             raise HttpError(400, "each query must be an object or a triple")
         source = self._coerce_vertex(item.get("source"), "source", num_vertices)

@@ -4,13 +4,18 @@ Concurrent HTTP requests arrive as many tiny query lists; the engine is
 fastest when it executes one large batch (one plan, one mask-group sweep
 per distinct mask).  A :class:`MicroBatcher` sits between the two: every
 request's queries are appended to a pending buffer, and the buffer is
-flushed as **one** ``session.run``-shaped call when either
+flushed as **one** ``session.run``-shaped call when
 
-* the configured coalescing window (default ~2 ms) elapses after the
-  first pending request, or
-* the pending buffer reaches ``max_batch`` queries (closed-loop traffic
-  almost always trips this first, so the window is a latency bound, not
-  a tax).
+* the pending buffer reaches ``max_batch`` queries (flushed at once);
+* no batch is in flight: the flush runs on the next event-loop turn, so
+  requests read in the same loop iteration still share one batch, and a
+  lone request pays no coalescing delay;
+* the batches in flight finish (answered, failed, or retried per
+  request): everything that queued behind them flushes as one batch.
+
+There is no coalescing timer.  Batches form only while the engine is
+busy, so the batch size follows the load and an idle server answers at
+once.
 
 Ordering and isolation guarantees, property-tested in
 ``tests/test_serve.py``:
@@ -22,10 +27,6 @@ Ordering and isolation guarantees, property-tested in
   pending request is retried individually, so a poison query fails only
   the request that carried it and every innocent neighbor still gets its
   answers.
-
-The flush clock is injectable: with ``clock=`` and ``auto_flush=False``
-the batcher never arms real timers — tests drive time explicitly through
-:meth:`poll`, making window semantics deterministic under hypothesis.
 """
 
 from __future__ import annotations
@@ -67,42 +68,26 @@ class MicroBatcher:
         may return the answers directly or an awaitable of them (the
         serving app hands back ``run_in_executor`` futures so numpy work
         leaves the event loop).
-    window:
-        Seconds to wait after the first pending request before flushing.
-        ``0`` disables coalescing-by-time: every submission flushes
-        immediately, which together with ``max_batch=1`` is exactly
-        batch-size-1 serving (the benchmark baseline).
     max_batch:
-        Flush as soon as this many queries are pending.
-    clock:
-        Monotonic time source for window deadlines (test seam; defaults
-        to the running loop's clock).
-    auto_flush:
-        ``False`` disarms real timers entirely — flushes then happen only
-        via ``max_batch``, :meth:`poll`, or :meth:`flush_now`.
+        Flush as soon as this many queries are pending.  ``1`` is
+        batch-size-1 serving (the benchmark baseline).
     """
 
-    def __init__(
-        self,
-        execute: ExecuteFn,
-        window: float = 0.002,
-        max_batch: int = 256,
-        clock: Callable[[], float] | None = None,
-        auto_flush: bool = True,
-    ) -> None:
-        if window < 0:
-            raise ValueError("window must be >= 0")
+    #: Seconds a pending request waits on a timer: there is no
+    #: coalescing timer, so always ``0.0``.
+    window = 0.0
+
+    def __init__(self, execute: ExecuteFn, max_batch: int = 256) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._execute = execute
-        self.window = window
         self.max_batch = max_batch
-        self._clock = clock
-        self._auto_flush = auto_flush
         self._pending: list[_PendingRequest] = []
         self._pending_queries = 0
-        self._timer: asyncio.TimerHandle | None = None
-        self._deadline: float | None = None
+        # Batches flushed but not yet answered.
+        self._in_flight = 0
+        # A next-turn flush is queued with ``call_soon``.
+        self._flush_queued = False
         # Strong refs to in-flight flush tasks (the loop only keeps weak
         # ones); discarded as each batch completes.
         self._tasks: set[asyncio.Task[None]] = set()
@@ -110,11 +95,6 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def _now(self) -> float:
-        if self._clock is not None:
-            return self._clock()
-        return asyncio.get_running_loop().time()
-
     async def submit(self, triples: Sequence[Triple]) -> list[float]:
         """Queue one request's queries; await its answers.
 
@@ -128,12 +108,11 @@ class MicroBatcher:
         future: "asyncio.Future[list[float]]" = loop.create_future()
         self._pending.append(_PendingRequest(items, future))
         self._pending_queries += len(items)
-        if self._pending_queries >= self.max_batch or self.window == 0:
+        if self._pending_queries >= self.max_batch:
             self.flush_now()
-        elif self._deadline is None:
-            self._deadline = self._now() + self.window
-            if self._auto_flush:
-                self._timer = loop.call_later(self.window, self.flush_now)
+        elif not self._in_flight and not self._flush_queued:
+            self._flush_queued = True
+            loop.call_soon(self._flush_if_idle)
         return await future
 
     # ------------------------------------------------------------------
@@ -143,23 +122,15 @@ class MicroBatcher:
     def pending_queries(self) -> int:
         return self._pending_queries
 
-    def poll(self) -> bool:
-        """Flush iff the coalescing window has expired; True if flushed.
-
-        The manual-drive counterpart of the armed timer, used with an
-        injected ``clock`` where tests advance time explicitly.
-        """
-        if self._deadline is not None and self._now() >= self._deadline:
+    def _flush_if_idle(self) -> None:
+        # A size flush may have started a batch since this was queued;
+        # then the requests behind it flush when it completes.
+        self._flush_queued = False
+        if not self._in_flight:
             self.flush_now()
-            return True
-        return False
 
     def flush_now(self) -> None:
         """Flush whatever is pending as one batch task, immediately."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        self._deadline = None
         if not self._pending:
             return
         batch = self._pending
@@ -170,6 +141,7 @@ class MicroBatcher:
         registry.counter("serve.batched_requests").inc(len(batch))
         total = sum(len(p.triples) for p in batch)
         registry.histogram("serve.batch_size", lo=1.0, hi=1e5).observe(total)
+        self._in_flight += 1
         task = asyncio.get_running_loop().create_task(self._run_batch(batch))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
@@ -187,6 +159,16 @@ class MicroBatcher:
         return answers
 
     async def _run_batch(self, batch: list[_PendingRequest]) -> None:
+        try:
+            await self._answer(batch)
+        finally:
+            self._in_flight -= 1
+        # Everything that queued behind the finished batches flushes as
+        # one.  (A cancelled batch skips this: its loop is shutting down.)
+        if not self._in_flight:
+            self.flush_now()
+
+    async def _answer(self, batch: list[_PendingRequest]) -> None:
         triples = [t for pending in batch for t in pending.triples]
         try:
             answers = await self._call_execute(triples)

@@ -130,7 +130,7 @@ def _http_server():
         registry = GraphRegistry()
         app = ServeApp(
             registry=registry,
-            config=ServeConfig(batch_window=0.0, workers=1),
+            config=ServeConfig(workers=1),
         )
         _HTTP["registry"] = registry
         _HTTP["server"] = ServerThread(app).start()
