@@ -8,8 +8,7 @@ identical workload:
 * **batch-size-1** — ``max_batch=1``: every request is its own engine
   call (what a naive per-request server does);
 * **micro-batched** — ``max_batch`` sized to a full client wave, so
-  concurrent requests merge into one planned, mask-grouped
-  ``session.run``.
+  concurrent requests merge into one ``session.run``.
 
 The acceptance bar asserts micro-batching sustains **≥ 2x** the
 throughput of batch-size-1 serving on the repeated-mask workload the

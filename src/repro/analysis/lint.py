@@ -28,10 +28,11 @@ flow-sensitive rules REPRO009-REPRO013 share this catalog but live in
     argument-less ``np.random.default_rng()`` / ``random.Random()`` are
     all banned — index builds must be reproducible from explicit seeds.
 ``REPRO004``
-    ``engine/executors.py`` must stay vectorized: loops that iterate the
-    query columns of a :class:`~repro.engine.plan.MaskGroup` and
-    per-query ``oracle.query`` calls inside loops are confined to the
-    designated fallback (``ScalarLoopExecutor``).  Per-*row* reduction
+    ``engine/executors.py`` must stay vectorized: loops that iterate a
+    :class:`~repro.engine.plan.QueryBatch` (the ``batch`` parameter or
+    its ``sources`` / ``targets`` / ``masks`` columns) and per-query
+    ``oracle.query`` calls inside loops are confined to the designated
+    fallback (``ScalarLoopExecutor``).  Per-*row* reduction
     loops (e.g. the median estimator) do not match the rule.
 ``REPRO005``
     Public functions and methods in ``core/`` and ``engine/`` carry full
@@ -152,6 +153,8 @@ _DETERMINISTIC_PREFIXES = ("core/", "engine/", "perf/")
 _ANNOTATED_PREFIXES = ("core/", "engine/")
 #: The one executors.py class allowed to loop per query.
 _SCALAR_FALLBACK_CLASS = "ScalarLoopExecutor"
+#: The executor batch parameter and its query columns (REPRO004).
+_BATCH_NAMES = frozenset({"batch", "sources", "targets", "masks"})
 #: Modules where ``print`` is the job (CLI entry points).
 _PRINT_ALLOWED = (
     "eval/cli.py",
@@ -614,7 +617,7 @@ class _Visitor(ast.NodeVisitor):
                     "use np.random.default_rng(seed)",
                 )
 
-    # -- REPRO004: loops over the group's query columns ----------------
+    # -- REPRO004: loops over the batch's query columns ----------------
     def _current_class(self) -> str | None:
         return self._class_stack[-1] if self._class_stack else None
 
@@ -623,11 +626,13 @@ class _Visitor(ast.NodeVisitor):
             return
         header = node.iter if isinstance(node, ast.For) else node.test
         for sub in ast.walk(header):
-            if isinstance(sub, ast.Name) and sub.id == "group":
+            if (isinstance(sub, ast.Name) and sub.id in _BATCH_NAMES) or (
+                isinstance(sub, ast.Attribute) and sub.attr in _BATCH_NAMES
+            ):
                 self._flag(
                     node,
                     "REPRO004",
-                    "loop iterating the MaskGroup query columns outside the "
+                    "loop iterating the QueryBatch query columns outside the "
                     "designated ScalarLoopExecutor fallback",
                 )
                 return

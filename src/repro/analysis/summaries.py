@@ -177,7 +177,7 @@ BUILTIN_SUMMARIES: dict[str, Summary] = {
     "landmark_distance": Summary(
         ("landmark_index", "vertex", "label_mask", "direction"), _DIST_F64_SCALAR
     ),
-    "lookup_many": Summary(("vertices", "label_mask"), _DIST_F64_ARRAY),
+    "lookup_many": Summary(("vertices", "masks"), _DIST_F64_ARRAY),
     "largest_component_vertices": Summary(("graph", "mask"), _VERTEX_ARRAY),
     # -- shared-memory / mapped-store lifecycle -------------------------
     "share_graphs": Summary(("graphs",), creates="shm-pack"),

@@ -25,8 +25,8 @@ class BidirectionalBFSBaseline(DistanceOracle):
         return bidirectional_constrained_bfs(self.graph, source, target, label_mask)
 
     def make_batch_executor(self):
-        """Trivial engine adapter: a traversal has no per-mask plan to
-        amortize, so batches run through the scalar loop."""
+        """Trivial engine adapter: a traversal has no stored tables to
+        vectorize over, so batches run through the scalar loop."""
         from ..engine.executors import ScalarLoopExecutor
 
         return ScalarLoopExecutor(self)

@@ -203,8 +203,8 @@ class ChromLandIndex(DistanceOracle):
         if label_mask == 0:
             return QueryAnswer(estimate=float("inf"), lower=float("inf"))
         # Landmarks usable for this query: color inside the constraint set.
-        usable = np.nonzero((self._color_bits & label_mask) != 0)[0]
-        if len(usable) == 0:
+        usable = (self._color_bits & label_mask) != 0
+        if not usable.any():
             return QueryAnswer(estimate=float("inf"))
         if self.query_mode == "simple":
             estimate = simple_triangle_distance(

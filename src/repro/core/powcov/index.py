@@ -246,15 +246,16 @@ class PowCovIndex(DistanceOracle):
     def landmark_rows(
         self,
         vertices: np.ndarray,
-        label_mask: int,
+        masks: "np.ndarray | int",
         direction: str = "from-landmark",
     ) -> np.ndarray:
         """:meth:`landmark_distance` for every vertex × every landmark.
 
-        A ``(len(vertices), k)`` float64 matrix (``inf`` = unreachable),
-        shared by the scalar query and the batch executor.
+        ``masks`` holds one constraint mask per vertex (a plain int applies
+        to all of them).  A ``(len(vertices), k)`` float64 matrix (``inf``
+        = unreachable), shared by the scalar query and the batch executor.
         """
-        rows = self._table(direction).lookup_many(vertices, label_mask)
+        rows = self._table(direction).lookup_many(vertices, masks)
         slots = self._landmark_slot[vertices]
         own = slots >= 0
         if own.any():

@@ -212,7 +212,7 @@ class PowCovTable:
     # ------------------------------------------------------------------
     # Theorem 1 lookups
     # ------------------------------------------------------------------
-    def _scan_rows(self, vertices: list[int], label_mask: int) -> list[list[float]]:
+    def _scan_rows(self, vertices: list[int], masks: list[int]) -> list[list[float]]:
         """:meth:`lookup_many` as a Python scan that stops at each pair's
         first stored subset (entries are distance-sorted)."""
         offsets = memoryview(self.offsets)
@@ -220,7 +220,7 @@ class PowCovTable:
         mask = memoryview(self.mask)
         starts = self._block_starts.tolist()
         rows = []
-        for u in vertices:
+        for u, label_mask in zip(vertices, masks):
             row = []
             for cell in starts:
                 found = INF
@@ -233,33 +233,37 @@ class PowCovTable:
             rows.append(row)
         return rows
 
-    def lookup_many(self, vertices: np.ndarray, label_mask: int) -> np.ndarray:
+    def lookup_many(
+        self, vertices: np.ndarray, masks: "np.ndarray | int"
+    ) -> np.ndarray:
         """Exact ``d_C(x, u)`` for every vertex × every landmark in one sweep.
 
-        Returns a ``(len(vertices), k)`` float64 matrix with ``inf`` where
-        no stored label set is a subset of ``label_mask`` (Theorem 1: the
-        minimum stored distance over subset entries).  A few cells (a
-        scalar query's two endpoints) are scanned in Python; more are
-        gathered in one pass, non-subsets masked to ``inf``, and each
-        non-empty cell takes its ``minimum.reduceat``.
+        ``masks`` holds one constraint mask per vertex (a plain int applies
+        to all of them).  Returns a ``(len(vertices), k)`` float64 matrix
+        with ``inf`` where no stored label set is a subset of the row's
+        mask (Theorem 1: the minimum stored distance over subset entries).
+        A few cells (a scalar query's two endpoints) are scanned in
+        Python; more are gathered in one pass, each entry tested against
+        its cell's mask, non-subsets masked to ``inf``, and each non-empty
+        cell takes its ``minimum.reduceat``.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        if len(vertices) * self.num_landmarks <= _SCAN_CELLS:
-            rows = self._scan_rows(vertices.tolist(), label_mask)
-            return np.array(rows, dtype=np.float64).reshape(
-                len(vertices), self.num_landmarks
-            )
+        masks = np.broadcast_to(np.asarray(masks, dtype=np.int64), vertices.shape)
+        k = self.num_landmarks
+        if len(vertices) * k <= _SCAN_CELLS:
+            rows = self._scan_rows(vertices.tolist(), masks.tolist())
+            return np.array(rows, dtype=np.float64).reshape(len(vertices), k)
         cells = (vertices[:, None] + self._block_starts).ravel()
         lo = self.offsets[cells]
         counts = self.offsets[cells + 1] - lo
         ends = counts.cumsum()
         idx = np.repeat(lo - ends + counts, counts)
         idx += np.arange(len(idx))
-        masks = self.mask[idx]
-        values = np.where(masks & label_mask == masks, self.dist[idx], INF)
+        stored = self.mask[idx]
+        wanted = np.repeat(np.repeat(masks, k), counts)
+        values = np.where(stored & wanted == stored, self.dist[idx], INF)
         out = np.full(len(cells), INF)
         filled = counts.nonzero()[0]
         if len(filled):
             out[filled] = np.minimum.reduceat(values, (ends - counts)[filled])
-        return out.reshape(len(vertices), self.num_landmarks)
-
+        return out.reshape(len(vertices), k)

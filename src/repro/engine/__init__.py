@@ -1,16 +1,18 @@
 """repro.engine — the batch-native query-execution layer.
 
 The scalar ``oracle.query(s, t, mask)`` path answers one triple at a
-time; serving-side traffic arrives in batches and streams whose masks
-repeat heavily.  This package turns any oracle into a batch server:
+time; serving-side traffic arrives in batches and streams.  This package
+turns any oracle into a batch server:
 
-* :mod:`repro.engine.plan` groups a batch by constraint mask;
-* :mod:`repro.engine.executors` evaluates each mask group vectorized
-  (PowCov: one packed subset-sweep per group; ChromLand: one usable
-  filter + auxiliary adjacency per mask; naive: stacked gathers;
+* :mod:`repro.engine.plan` turns a batch into ``(sources, targets,
+  masks)`` columns;
+* :mod:`repro.engine.executors` answers the whole batch in one vectorized
+  pass, each query under its own mask (PowCov: one subset sweep over the
+  pair table; ChromLand: a ``(g, k)`` usable filter and one batched
+  Theorem 5 kernel call; naive: gathers from a stacked distance array;
   everything else: the trivial scalar-loop adapter);
-* :mod:`repro.engine.session` adds the LRU answer cache, the per-mask
-  plan cache, and batching over streams;
+* :mod:`repro.engine.session` adds the LRU answer cache and batching over
+  streams;
 * :mod:`repro.engine.instrument` provides the counters and stage timers
   every session exposes.
 
@@ -43,7 +45,7 @@ from .instrument import (
     merge_global,
     reset_global,
 )
-from .plan import ExecutionPlan, MaskGroup, plan_batch
+from .plan import QueryBatch, plan_batch
 from .session import QuerySession, execute_batch
 
 __all__ = [
@@ -62,8 +64,7 @@ __all__ = [
     "global_snapshot",
     "merge_global",
     "reset_global",
-    "ExecutionPlan",
-    "MaskGroup",
+    "QueryBatch",
     "plan_batch",
     "QuerySession",
     "execute_batch",

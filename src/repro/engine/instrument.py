@@ -13,24 +13,20 @@ Counter glossary (see also docs/ALGORITHMS.md):
     Process-wide aggregate only: logical queries submitted across *all*
     sessions and one-shot ``execute_batch`` calls.  Unlike the published
     per-session counters it is bumped directly in the metrics registry at
-    submission time, exactly once per query — mask-group splitting,
-    cache routing, and repeated ``publish_stats`` calls never change it.
+    submission time, exactly once per query — cache routing and repeated
+    ``publish_stats`` calls never change it.
 ``cache_hits`` / ``cache_misses``
     Answer-cache (``(s, t, mask)`` LRU) outcomes.
 ``cache_evictions``
     Answers dropped because the LRU exceeded ``cache_size``.
 ``executed``
     Queries that reached an executor (i.e. the misses actually computed).
-``batches`` / ``groups``
-    ``run()`` invocations and mask groups executed across them.
-``masks_planned``
-    Distinct masks for which a mask plan was *built* (plan-cache misses).
-``plan_cache_hits``
-    Mask groups served from the per-mask plan cache.
+``batches``
+    ``run()`` invocations.
 
 Timer glossary (seconds, cumulative):
 
-``plan_seconds``    time spent grouping batches by mask;
+``plan_seconds``    time spent turning miss batches into columns;
 ``execute_seconds`` time spent inside executors;
 ``total_seconds``   wall time of ``run()`` calls end to end.
 
@@ -67,9 +63,6 @@ _COUNTER_ORDER = (
     "cache_evictions",
     "executed",
     "batches",
-    "groups",
-    "masks_planned",
-    "plan_cache_hits",
 )
 _TIMER_ORDER = ("plan_seconds", "execute_seconds", "total_seconds")
 

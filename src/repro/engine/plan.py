@@ -1,15 +1,9 @@
-"""Batch planning: group a query batch by label mask.
+"""Batch planning: turn a query batch into three columns.
 
-Every specialized executor amortizes *per-mask* work — PowCov's subset
-scans, ChromLand's usable-landmark filter and auxiliary-graph weights —
-so the first step of batch execution is always the same: partition the
-batch into :class:`MaskGroup`\\ s, one per distinct constraint mask.  The
-plan records original positions so answers can be scattered back into
-submission order.
-
-The partition itself is vectorized (one ``np.unique`` + stable argsort
-over the mask column), keeping planning cost negligible next to
-execution even for very large batches.
+Executors answer a whole batch at once, each query under its own
+constraint mask, so the only planning left is normalizing the submitted
+form (``Query`` objects, ``(s, t, mask)`` triples or an ``(n, 3)``
+array) into the :class:`QueryBatch` columns every executor reads.
 """
 
 from __future__ import annotations
@@ -21,8 +15,7 @@ from typing import Any, Protocol
 import numpy as np
 
 __all__ = [
-    "MaskGroup",
-    "ExecutionPlan",
+    "QueryBatch",
     "QueryLike",
     "plan_batch",
     "as_triple",
@@ -67,46 +60,22 @@ def to_triple_array(queries: Sequence[Any] | np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MaskGroup:
-    """All queries of one batch sharing a constraint mask."""
+class QueryBatch:
+    """A batch as parallel int64 columns, in submission order."""
 
-    label_mask: int
-    #: positions of the group's queries inside the submitted batch.
-    positions: np.ndarray
     sources: np.ndarray
     targets: np.ndarray
+    masks: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self.sources)
+
+    def select(self, rows: np.ndarray) -> "QueryBatch":
+        """The sub-batch of ``rows`` (a bool mask or positions)."""
+        return QueryBatch(self.sources[rows], self.targets[rows], self.masks[rows])
 
 
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """A batch partitioned into per-mask groups (mask-ascending order)."""
-
-    num_queries: int
-    groups: tuple[MaskGroup, ...]
-
-    @property
-    def num_masks(self) -> int:
-        return len(self.groups)
-
-
-def plan_batch(queries: Sequence[Any] | np.ndarray) -> ExecutionPlan:
-    """Partition ``queries`` (Query objects, triples, or an (n, 3) array)."""
+def plan_batch(queries: Sequence[Any] | np.ndarray) -> QueryBatch:
+    """Columns of ``queries`` (Query objects, triples, or an (n, 3) array)."""
     arr = to_triple_array(queries)
-    n = len(arr)
-    if n == 0:
-        return ExecutionPlan(num_queries=0, groups=())
-    unique_masks, inverse = np.unique(arr[:, 2], return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[order], np.arange(len(unique_masks)))
-    ends = np.append(starts[1:], n)
-    groups: list[MaskGroup] = []
-    for i, mask in enumerate(unique_masks.tolist()):
-        positions = order[starts[i]:ends[i]]
-        groups.append(
-            MaskGroup(label_mask=int(mask), positions=positions,
-                      sources=arr[positions, 0], targets=arr[positions, 1])
-        )
-    return ExecutionPlan(num_queries=n, groups=tuple(groups))
+    return QueryBatch(arr[:, 0], arr[:, 1], arr[:, 2])

@@ -9,18 +9,15 @@ with
   rebound (:meth:`QuerySession.rebind`) to an oracle over a *different*
   graph can never serve a stale distance, and rebinding back revalidates
   the surviving entries instead of recomputing them;
-* a **plan cache** — an LRU over constraint masks holding whatever the
-  oracle's executor precomputes per mask (PowCov: resolved per-vertex
-  landmark rows; ChromLand: the usable filter + masked auxiliary
-  adjacency);
 * an :class:`~repro.engine.instrument.Instrumentation` of counters and
   stage timers, exposed as ``session.stats``.
 
 ``run()`` takes a batch (``Query`` objects or ``(s, t, mask)`` triples),
-serves what it can from the answer cache, groups the misses by mask, and
-executes each group vectorized.  Answers are bit-identical to the scalar
-``oracle.query`` loop — property-tested in ``tests/test_engine.py`` — so
-sessions are a pure serving-layer optimization.
+serves what it can from the answer cache, and hands the misses to the
+oracle's executor as one column batch, every query under its own mask.
+Answers are bit-identical to the scalar ``oracle.query`` loop —
+property-tested in ``tests/test_engine.py`` — so sessions are a pure
+serving-layer optimization.
 
 ``execute_batch`` is the session-free one-shot used by
 ``DistanceOracle.batch_query``.
@@ -51,9 +48,8 @@ def _count_logical_queries(n: int) -> None:
     """Bump the process-wide logical-query counter exactly once per query.
 
     ``engine.queries_total`` counts queries *submitted for serving* — the
-    number the user asked, independent of how a batch later splits into
-    mask groups, how many land in the answer cache, or how often a
-    session's cumulative stats are (re-)published.  It is the counter the
+    number the user asked, independent of how many land in the answer
+    cache or how often a session's cumulative stats are (re-)published.  It is the counter the
     serving layer's throughput accounting and the CLI stats footer report,
     and the regression tests pin it against known streams.
     """
@@ -71,8 +67,6 @@ class QuerySession:
     cache_size:
         Answer-cache capacity in ``(s, t, mask)`` entries; 0 disables
         answer caching (batches are still executed vectorized).
-    plan_cache_size:
-        Number of distinct masks whose prepared plans are retained.
     audit:
         Debug flag (``EngineConfig.audit``): run the
         :mod:`repro.analysis.audit` invariant auditors against the oracle
@@ -91,14 +85,11 @@ class QuerySession:
         self,
         oracle: DistanceOracle,
         cache_size: int = 4096,
-        plan_cache_size: int = 128,
         audit: bool = False,
         kernel: "str | KernelBackend | None" = None,
     ) -> None:
         if cache_size < 0:
             raise ValueError("cache_size must be >= 0")
-        if plan_cache_size < 1:
-            raise ValueError("plan_cache_size must be >= 1")
         if audit:
             # Local import: the auditors pull in the index packages, which
             # the engine otherwise only needs lazily.
@@ -107,15 +98,13 @@ class QuerySession:
             assert_clean(audit_oracle(oracle))
         self.oracle = oracle
         self.kernel: KernelBackend = resolve_kernel(kernel)
-        self.executor: OracleExecutor[Any, Any] = executor_for(oracle)
+        self.executor: OracleExecutor[Any] = executor_for(oracle)
         self.executor.kernel = self.kernel
         self.cache_size = cache_size
-        self.plan_cache_size = plan_cache_size
         self.stats = Instrumentation()
         self._fingerprint = self._oracle_fingerprint(oracle)
         self._check_stored_fingerprint(oracle)
         self._answers: OrderedDict[tuple[int, int, int, int], float] = OrderedDict()
-        self._plans: OrderedDict[int, Any] = OrderedDict()
         # Snapshot of what publish_stats() already folded into the global
         # aggregate, so repeated publishes contribute deltas, never the
         # whole cumulative counters again.
@@ -152,9 +141,9 @@ class QuerySession:
     def rebind(self, oracle: DistanceOracle, repair: bool = True) -> None:
         """Point this session at another oracle, keeping the answer cache.
 
-        The plan cache is dropped (plans hold oracle-internal arrays), but
-        answers survive: their keys carry the graph fingerprint, so entries
-        from a different graph simply stop matching, and rebinding back to
+        The executor is rebuilt for the new oracle, but answers survive:
+        their keys carry the graph fingerprint, so entries from a
+        different graph simply stop matching, and rebinding back to
         an oracle over the original graph makes them hits again.
 
         When the new oracle's graph is the *direct child version* of the
@@ -175,7 +164,6 @@ class QuerySession:
         self.executor.kernel = self.kernel
         self._fingerprint = self._oracle_fingerprint(oracle)
         self._check_stored_fingerprint(oracle)
-        self._plans.clear()
         if repair and self._fingerprint != previous_fingerprint:
             self._migrate_answers(oracle, previous_fingerprint)
 
@@ -220,26 +208,12 @@ class QuerySession:
             self._answers.popitem(last=False)
             self.stats.count("cache_evictions")
 
-    def _plan_for(self, label_mask: int) -> Any:
-        plan = self._plans.get(label_mask)
-        if plan is not None or label_mask in self._plans:
-            self._plans.move_to_end(label_mask)
-            self.stats.count("plan_cache_hits")
-            return plan
-        plan = self.executor.prepare_mask(label_mask)
-        self.stats.count("masks_planned")
-        self._plans[label_mask] = plan
-        while len(self._plans) > self.plan_cache_size:
-            self._plans.popitem(last=False)
-        return plan
-
     def cache_info(self) -> dict[str, int | float]:
-        """Answer/plan cache occupancy and hit statistics."""
+        """Answer-cache occupancy and hit statistics."""
         counters = self.stats.counters
         return {
             "cache_size": self.cache_size,
             "cached_answers": len(self._answers),
-            "cached_plans": len(self._plans),
             "hits": counters.get("cache_hits", 0),
             "misses": counters.get("cache_misses", 0),
             "evictions": counters.get("cache_evictions", 0),
@@ -248,7 +222,6 @@ class QuerySession:
 
     def clear_cache(self) -> None:
         self._answers.clear()
-        self._plans.clear()
 
     # ------------------------------------------------------------------
     # Serving
@@ -269,7 +242,7 @@ class QuerySession:
         return value
 
     def run(self, queries: Sequence[Any] | np.ndarray) -> list[float]:
-        """Answer a batch through the planned, vectorized path.
+        """Answer a batch through the vectorized executor.
 
         Accepts ``Query`` objects, ``LabeledQuery`` objects, plain
         ``(source, target, mask)`` triples, or an ``(n, 3)`` int array;
@@ -326,34 +299,20 @@ class QuerySession:
             return answers  # type: ignore[return-value]
 
     def _execute(self, arr: np.ndarray) -> np.ndarray:
-        """Plan + execute an ``(n, 3)`` miss array; answers by position."""
+        """Execute an ``(n, 3)`` miss array in one pass; answers by position."""
         self.stats.count("executed", len(arr))
         with self.stats.timed("plan_seconds"):
-            plan = plan_batch(arr)
-        out = np.empty(len(arr), dtype=np.float64)
-        record_latency = metrics_enabled()
-        latency = (
-            _metrics_registry().histogram(f"engine.query_seconds.{self.oracle.name}")
-            if record_latency
-            else None
-        )
-        with self.stats.timed("execute_seconds"):
-            for group in plan.groups:
-                self.stats.count("groups")
-                mask_plan = self._plan_for(group.label_mask)
-                if latency is not None:
-                    started = perf_counter()
-                    out[group.positions] = self.executor.execute_group(
-                        mask_plan, group
-                    )
-                    # One observation per mask group (per-query mean weighted
-                    # by group size) keeps the hot loop allocation-free.
-                    size = len(group.positions)
-                    latency.observe((perf_counter() - started) / size, count=size)
-                else:
-                    out[group.positions] = self.executor.execute_group(
-                        mask_plan, group
-                    )
+            batch = plan_batch(arr)
+        started = perf_counter()
+        out = self.executor.execute(batch)
+        elapsed = perf_counter() - started
+        self.stats.add_seconds("execute_seconds", elapsed)
+        if metrics_enabled():
+            # One observation per batch (the per-query mean weighted by
+            # batch size) keeps the hot path allocation-free.
+            _metrics_registry().histogram(
+                f"engine.query_seconds.{self.oracle.name}"
+            ).observe(elapsed / len(batch), count=len(batch))
         return out
 
     def run_stream(
@@ -416,16 +375,12 @@ class QuerySession:
 def execute_batch(
     oracle: DistanceOracle, queries: Sequence[Any] | np.ndarray
 ) -> list[float]:
-    """One-shot batch execution, no caches: plan, group, execute.
+    """One-shot batch execution, no caches: columns in, one executor pass.
 
     This is what ``DistanceOracle.batch_query`` delegates to; results are
     bit-identical to ``[oracle.query(s, t, m) for s, t, m in queries]``.
     """
     executor = executor_for(oracle)
-    plan = plan_batch(queries)
-    _count_logical_queries(plan.num_queries)
-    out = np.empty(plan.num_queries, dtype=np.float64)
-    for group in plan.groups:
-        mask_plan = executor.prepare_mask(group.label_mask)
-        out[group.positions] = executor.execute_group(mask_plan, group)
-    return out.tolist()
+    batch = plan_batch(queries)
+    _count_logical_queries(len(batch))
+    return executor.execute(batch).tolist()

@@ -66,7 +66,6 @@ def _answer_workload(
     session = QuerySession(
         oracle,
         cache_size=config.cache_size,
-        plan_cache_size=config.plan_cache_size,
         audit=config.audit,
         kernel=config.kernel,
     )
@@ -158,7 +157,6 @@ def time_oracle(
         session = QuerySession(
             oracle,
             cache_size=config.cache_size,
-            plan_cache_size=config.plan_cache_size,
             audit=config.audit,
             kernel=config.kernel,
         )

@@ -124,17 +124,34 @@ class KernelBackend(Protocol):
     def aux_dijkstra(
         self,
         weights: np.ndarray,
+        usable: np.ndarray,
         ds: np.ndarray,
         dt: np.ndarray,
-        best: float,
-    ) -> float:
-        """Theorem 5 dense Dijkstra over the masked auxiliary adjacency.
+    ) -> np.ndarray:
+        """Theorem 5 dense Dijkstra for a batch of ``g`` queries.
 
-        ``ds``/``dt`` are the endpoint legs (``inf`` = unreachable),
-        ``best`` the already-computed single-landmark bound.  Must replay
-        the numpy path's IEEE operation order exactly (bit-identity).
+        ``weights`` is the ``(k, k)`` bi-chromatic adjacency (``inf`` for
+        unreachable and same-colour pairs); ``usable``, ``ds`` and ``dt``
+        are ``(g, k)``: each query's usable-landmark filter and endpoint
+        legs (``inf`` = unreachable).  Returns the ``g`` estimates
+        (``inf`` when no usable landmark sees both endpoints).  Each row
+        relaxes only its usable landmarks.  Must replay the numpy path's
+        IEEE operation order exactly (bit-identity).
         """
         ...
+
+
+def _check_aux_shapes(
+    weights: np.ndarray, usable: np.ndarray, ds: np.ndarray, dt: np.ndarray
+) -> None:
+    """Compiled ``aux_dijkstra`` loops trust their sizes: reject anything
+    but ``(k, k)`` weights and ``(g, k)`` usable/ds/dt before the call."""
+    g, k = ds.shape
+    if weights.shape != (k, k) or usable.shape != (g, k) or dt.shape != (g, k):
+        raise ValueError(
+            "aux_dijkstra needs (k, k) weights and (g, k) usable/ds/dt, got "
+            f"{weights.shape}, {usable.shape}, {ds.shape}, {dt.shape}"
+        )
 
 
 class KernelFallbackWarning(UserWarning):

@@ -33,6 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _check_aux_shapes
+
 __all__ = ["CExtensionKernel"]
 
 _SOURCE = r"""
@@ -175,35 +177,51 @@ int repro_one_removed(
     return 0;
 }
 
-/* Theorem 5 dense Dijkstra from the virtual source.  Bit-identical to
- * the numpy reference: first-minimum selection over unsettled nodes,
- * the same `di + w` addition order, the same early-exit predicate.
- * Returns the best completion, or -1.0 on allocation failure. */
-double repro_aux_dijkstra(
-    const double *weights, const double *ds, const double *dt,
-    int64_t k, double best)
+/* Theorem 5 dense Dijkstra from the virtual source, one row per query.
+ * Bit-identical to the numpy reference: the best single-landmark
+ * completion over usable landmarks first, then first-minimum selection
+ * over unsettled usable nodes, the same `di + w` addition order, the same
+ * early-exit predicate.  weights is (k, k); usable, ds and dt are (g, k);
+ * out gets g estimates.  Returns 0, or -1 on allocation failure. */
+int repro_aux_dijkstra(
+    const double *weights, int64_t k, const uint8_t *usable,
+    const double *ds, const double *dt, int64_t g, double *out)
 {
-    double *dist = (double *)malloc((size_t)k * sizeof(double));
-    uint8_t *settled = (uint8_t *)calloc((size_t)k, 1);
-    if (!dist || !settled) { free(dist); free(settled); return -1.0; }
-    memcpy(dist, ds, (size_t)k * sizeof(double));
-    for (int64_t it = 0; it < k; it++) {
-        int64_t i = -1;
-        double di = INFINITY;
-        for (int64_t j = 0; j < k; j++)
-            if (!settled[j] && dist[j] < di) { di = dist[j]; i = j; }
-        if (i < 0 || !isfinite(di) || di >= best) break;
-        settled[i] = 1;
-        const double *w = weights + (size_t)i * (size_t)k;
+    double *dist = (double *)malloc((size_t)(k ? k : 1) * sizeof(double));
+    uint8_t *settled = (uint8_t *)malloc((size_t)(k ? k : 1));
+    if (!dist || !settled) { free(dist); free(settled); return -1; }
+    for (int64_t r = 0; r < g; r++) {
+        const uint8_t *use = usable + (size_t)r * (size_t)k;
+        const double *s = ds + (size_t)r * (size_t)k;
+        const double *t = dt + (size_t)r * (size_t)k;
+        double best = INFINITY;
         for (int64_t j = 0; j < k; j++) {
-            double nd = di + w[j];
-            if (nd < dist[j]) dist[j] = nd;
+            if (use[j]) {
+                double value = s[j] + t[j];
+                if (value < best) best = value;
+            }
+            dist[j] = use[j] ? s[j] : INFINITY;
+            settled[j] = !use[j];
         }
-        double completion = di + dt[i];
-        if (completion < best) best = completion;
+        for (int64_t it = 0; it < k; it++) {
+            int64_t i = -1;
+            double di = INFINITY;
+            for (int64_t j = 0; j < k; j++)
+                if (!settled[j] && dist[j] < di) { di = dist[j]; i = j; }
+            if (i < 0 || !isfinite(di) || di >= best) break;
+            settled[i] = 1;
+            const double *w = weights + (size_t)i * (size_t)k;
+            for (int64_t j = 0; j < k; j++) {
+                double nd = di + w[j];
+                if (nd < dist[j]) dist[j] = nd;
+            }
+            double completion = di + t[i];
+            if (completion < best) best = completion;
+        }
+        out[r] = best;
     }
     free(dist); free(settled);
-    return best;
+    return 0;
 }
 """
 
@@ -300,11 +318,12 @@ class CExtensionKernel:
             _ptr(np.int32, 2), i64, i64, _ptr(np.int32, 2),
             _ptr(np.int64, 2), i64, _ptr(np.uint8, 2),
         ]
-        lib.repro_aux_dijkstra.restype = ctypes.c_double
-        lib.repro_aux_dijkstra.argtypes = [
-            _ptr(np.float64, 2), _ptr(np.float64, 1), _ptr(np.float64, 1),
-            i64, ctypes.c_double,
-        ]
+        # Raw pointers: the wrapper coerces dtype and layout and checks the
+        # shapes itself, and is called once per scalar ChromLand query, where
+        # five ndpointer checks would cost more than the Dijkstra.
+        ptr = ctypes.c_void_p
+        lib.repro_aux_dijkstra.restype = ctypes.c_int
+        lib.repro_aux_dijkstra.argtypes = [ptr, i64, ptr, ptr, ptr, i64, ptr]
         self._lib = lib
 
     # ------------------------------------------------------------------
@@ -390,17 +409,22 @@ class CExtensionKernel:
     def aux_dijkstra(
         self,
         weights: np.ndarray,
+        usable: np.ndarray,
         ds: np.ndarray,
         dt: np.ndarray,
-        best: float,
-    ) -> float:
-        value = self._lib.repro_aux_dijkstra(
-            np.ascontiguousarray(weights, dtype=np.float64),
-            np.ascontiguousarray(ds, dtype=np.float64),
-            np.ascontiguousarray(dt, dtype=np.float64),
-            len(ds),
-            float(best),
+    ) -> np.ndarray:
+        g, k = ds.shape
+        _check_aux_shapes(weights, usable, ds, dt)
+        # Locals keep every coerced buffer alive for the duration of the call.
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        usable = self._allowed_u8(usable)
+        ds = np.ascontiguousarray(ds, dtype=np.float64)
+        dt = np.ascontiguousarray(dt, dtype=np.float64)
+        out = np.empty(g, dtype=np.float64)
+        status = self._lib.repro_aux_dijkstra(
+            weights.ctypes.data, k, usable.ctypes.data,
+            ds.ctypes.data, dt.ctypes.data, g, out.ctypes.data,
         )
-        if value < 0.0:  # pragma: no cover - allocation failure only
+        if status != 0:  # pragma: no cover - allocation failure only
             raise MemoryError("repro_aux_dijkstra: allocation failed")
-        return float(value)
+        return out

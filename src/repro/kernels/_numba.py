@@ -20,6 +20,8 @@ from __future__ import annotations
 import numpy as np
 from numba import njit  # noqa: F401 - optional dependency, probe-gated
 
+from . import _check_aux_shapes
+
 __all__ = ["NumbaKernel"]
 
 
@@ -153,29 +155,42 @@ def _one_removed(
 
 @njit(cache=True, nogil=True)
 def _aux_dijkstra(
-    weights: np.ndarray, ds: np.ndarray, dt: np.ndarray, best: float
-) -> float:  # pragma: no cover - exercised only when numba is installed
-    k = ds.shape[0]
-    dist = ds.copy()
-    settled = np.zeros(k, dtype=np.bool_)
-    for _ in range(k):
-        i = -1
-        di = np.inf
+    weights: np.ndarray,
+    usable: np.ndarray,
+    ds: np.ndarray,
+    dt: np.ndarray,
+    out: np.ndarray,
+) -> None:  # pragma: no cover - exercised only when numba is installed
+    g, k = ds.shape
+    dist = np.empty(k, dtype=np.float64)
+    settled = np.empty(k, dtype=np.bool_)
+    for r in range(g):
+        best = np.inf
         for j in range(k):
-            if not settled[j] and dist[j] < di:
-                di = dist[j]
-                i = j
-        if i < 0 or not np.isfinite(di) or di >= best:
-            break  # every remaining completion is at least `best`
-        settled[i] = True
-        for j in range(k):
-            nd = di + weights[i, j]
-            if nd < dist[j]:
-                dist[j] = nd
-        completion = di + dt[i]
-        if completion < best:
-            best = completion
-    return best
+            if usable[r, j]:
+                value = ds[r, j] + dt[r, j]
+                if value < best:
+                    best = value
+            dist[j] = ds[r, j] if usable[r, j] else np.inf
+            settled[j] = not usable[r, j]
+        for _ in range(k):
+            i = -1
+            di = np.inf
+            for j in range(k):
+                if not settled[j] and dist[j] < di:
+                    di = dist[j]
+                    i = j
+            if i < 0 or not np.isfinite(di) or di >= best:
+                break  # every remaining completion is at least `best`
+            settled[i] = True
+            for j in range(k):
+                nd = di + weights[i, j]
+                if nd < dist[j]:
+                    dist[j] = nd
+            completion = di + dt[r, i]
+            if completion < best:
+                best = completion
+        out[r] = best
 
 
 class NumbaKernel:
@@ -243,15 +258,17 @@ class NumbaKernel:
     def aux_dijkstra(
         self,
         weights: np.ndarray,
+        usable: np.ndarray,
         ds: np.ndarray,
         dt: np.ndarray,
-        best: float,
-    ) -> float:
-        return float(
-            _aux_dijkstra(
-                np.ascontiguousarray(weights, dtype=np.float64),
-                np.ascontiguousarray(ds, dtype=np.float64),
-                np.ascontiguousarray(dt, dtype=np.float64),
-                float(best),
-            )
+    ) -> np.ndarray:
+        _check_aux_shapes(weights, usable, ds, dt)
+        out = np.empty(ds.shape[0], dtype=np.float64)
+        _aux_dijkstra(
+            np.ascontiguousarray(weights, dtype=np.float64),
+            np.ascontiguousarray(usable, dtype=np.bool_),
+            np.ascontiguousarray(ds, dtype=np.float64),
+            np.ascontiguousarray(dt, dtype=np.float64),
+            out,
         )
+        return out

@@ -3,9 +3,10 @@
 These are the loop bodies that previously lived inline in
 ``repro.perf.batched`` (bit-parallel MS-BFS), ``repro.core.powcov.waves``
 (Theorem 2 one-removed sweep) and ``repro.core.chromland.query`` (dense
-auxiliary Dijkstra), moved behind the :class:`~repro.kernels.KernelBackend`
-protocol verbatim.  The compiled backends are checked against this one
-bit-for-bit, so any change here is a semantic change for all three.
+auxiliary Dijkstra, now run over a whole batch of queries per call),
+moved behind the :class:`~repro.kernels.KernelBackend` protocol.  The
+compiled backends are checked against this one bit-for-bit, so any
+change here is a semantic change for all three.
 """
 
 from __future__ import annotations
@@ -116,29 +117,35 @@ class NumpyKernel:
     def aux_dijkstra(
         self,
         weights: np.ndarray,
+        usable: np.ndarray,
         ds: np.ndarray,
         dt: np.ndarray,
-        best: float,
-    ) -> float:
-        """O(k^2) dense Dijkstra from the virtual source node.
+    ) -> np.ndarray:
+        """O(k^2) dense Dijkstra per row, all rows in lock-step.
 
-        Initialize landmark tentative distances with the s—x edges,
-        repeatedly settle the nearest landmark, relax through its
-        bi-chromatic row, and keep the running best completion through
-        the t—x edges.
+        Per row: start from the best single-landmark completion over the
+        usable landmarks, initialize their tentative distances with the
+        s—x edges, repeatedly settle the nearest one (first minimum in
+        index order), relax through its bi-chromatic row, and keep the
+        running best completion through the t—x edges.  Unusable
+        landmarks start settled, so they are never selected.  A row stops
+        at its first settle candidate that is unreachable or no better
+        than its best; the rows still going share each numpy pass.
         """
-        k = len(ds)
-        dist = ds.copy()
-        settled = np.zeros(k, dtype=bool)
+        g, k = ds.shape
+        best = np.where(usable, ds + dt, _INF).min(axis=1, initial=_INF)
+        dist = np.where(usable, ds, _INF)
+        settled = ~usable
+        active = np.arange(g)
         for _ in range(k):
-            dist_masked = np.where(settled, _INF, dist)
-            i = int(dist_masked.argmin())
-            di = dist_masked[i]
-            if not np.isfinite(di) or di >= best:
-                break  # every remaining completion is at least `best`
-            settled[i] = True
-            np.minimum(dist, di + weights[i], out=dist)
-            completion = di + dt[i]
-            if completion < best:
-                best = completion
-        return float(best)
+            masked = np.where(settled[active], _INF, dist[active])
+            i = masked.argmin(axis=1)
+            di = masked[np.arange(len(active)), i]
+            going = di < best[active]  # false for unreachable (inf) too
+            active, i, di = active[going], i[going], di[going]
+            if len(active) == 0:
+                break
+            settled[active, i] = True
+            dist[active] = np.minimum(dist[active], di[:, None] + weights[i])
+            best[active] = np.minimum(best[active], di + dt[active, i])
+        return best

@@ -1,8 +1,8 @@
 """Micro-batching: coalesce concurrent requests into one engine batch.
 
 Concurrent HTTP requests arrive as many tiny query lists; the engine is
-fastest when it executes one large batch (one plan, one mask-group sweep
-per distinct mask).  A :class:`MicroBatcher` sits between the two: every
+fastest when it executes one large batch (one vectorized executor pass
+over every query, whatever its mask).  A :class:`MicroBatcher` sits between the two: every
 request's queries are appended to a pending buffer, and the buffer is
 flushed as **one** ``session.run``-shaped call when
 

@@ -77,14 +77,12 @@ class GraphRegistry:
         self,
         max_sessions: int = 32,
         cache_size: int = 4096,
-        plan_cache_size: int = 128,
         kernel: str | None = None,
     ) -> None:
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         self.max_sessions = max_sessions
         self.cache_size = cache_size
-        self.plan_cache_size = plan_cache_size
         self.kernel = kernel
         self._entries: dict[str, _GraphEntry] = {}
         self._sessions: OrderedDict[tuple[str, str], QuerySession] = (
@@ -275,7 +273,6 @@ class GraphRegistry:
                 session = QuerySession(
                     oracle,
                     cache_size=self.cache_size,
-                    plan_cache_size=self.plan_cache_size,
                     kernel=self.kernel,
                 )
                 self._sessions[key] = session

@@ -161,7 +161,6 @@ class StreamReport:
     cache_hits: int
     cache_misses: int
     cache_evictions: int
-    masks_planned: int
     #: deltas absorbed mid-stream (mixed query/update mode only).
     num_updates: int = 0
     #: wall-clock spent inside repair + rebind, included in
@@ -185,8 +184,7 @@ class StreamReport:
         text = (
             f"{self.num_queries} queries in {self.elapsed_seconds:.3f}s "
             f"({self.queries_per_second:,.0f} q/s, "
-            f"hit rate {100.0 * self.hit_rate:.1f}%, "
-            f"{self.masks_planned} masks planned)"
+            f"hit rate {100.0 * self.hit_rate:.1f}%)"
         )
         if self.num_updates:
             text += (
@@ -261,7 +259,6 @@ def run_stream_throughput(
         cache_hits=delta("cache_hits"),
         cache_misses=delta("cache_misses"),
         cache_evictions=delta("cache_evictions"),
-        masks_planned=delta("masks_planned"),
         num_updates=num_updates,
         update_seconds=update_seconds,
         answers_migrated=delta("rebind_answers_migrated"),

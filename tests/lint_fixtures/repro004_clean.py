@@ -5,12 +5,12 @@ from __future__ import annotations
 
 
 class ScalarLoopExecutor:
-    """The one executor allowed to draw its loop from the group columns."""
+    """The one executor allowed to draw its loop from the batch columns."""
 
     oracle: object
 
-    def execute_group(self, mask_plan: int, group: object) -> list[float]:
+    def execute(self, batch: object) -> list[float]:
         out: list[float] = []
-        for s, t in zip(group.sources, group.targets):
-            out.append(self.oracle.query(int(s), int(t), mask_plan))
+        for s, t, mask in zip(batch.sources, batch.targets, batch.masks):
+            out.append(self.oracle.query(int(s), int(t), int(mask)))
         return out

@@ -19,6 +19,13 @@ asserting that
   (approximate) queries — build backend and executor path must never
   change which queries are approximated, nor by how much.
 
+``TestMixedMaskBatches`` adds the executor axis the all-pairs batches
+above do not stress: one hypothesis batch spanning many distinct masks
+(mask 0, ``s == t`` and landmark endpoints included), answered by every
+executor configuration — PowCov undirected / directed / weighted /
+median / store-opened, ChromLand simple / auxiliary / directed /
+store-opened, naive — bit-identically to the scalar loop.
+
 ``test_harness_detects_executor_divergence`` proves the harness has teeth:
 a deliberately corrupted executor must trip the consistency assertions.
 
@@ -32,6 +39,8 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,12 +49,14 @@ from hypothesis import strategies as st
 
 from conftest import all_pairs_all_masks
 from repro.core import ChromLandIndex, NaivePowersetIndex, PowCovIndex
+from repro.core.powcov import WeightedPowCovIndex
 from repro.engine import QuerySession, execute_batch
 from repro.engine.executors import PowCovExecutor
 from repro.graph.generators import labeled_erdos_renyi
 from repro.graph.labeled_graph import EdgeLabeledGraph
 from repro.kernels import available_kernels, set_default_kernel
 from repro.perf.parallel import SERIAL, ParallelConfig
+from repro.store.index_store import open_index, save_index
 
 THREADS = ParallelConfig(num_workers=2, backend="thread", chunk_size=1)
 BACKENDS = {"serial": SERIAL, "thread": THREADS}
@@ -335,6 +346,105 @@ class TestDifferential:
 
 
 # ----------------------------------------------------------------------
+# Mixed-mask batches through every executor configuration
+# ----------------------------------------------------------------------
+@st.composite
+def mixed_mask_cases(draw):
+    """A labeled graph (directed or not), up to 5 labels, plus a batch
+    spanning many distinct masks in arbitrary order.  Every mask appears,
+    and the batch includes mask 0, ``s == t`` and landmark endpoints
+    (the landmarks are vertices ``0 .. k-1``)."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(min_value=4, max_value=9))
+    num_labels = draw(st.integers(min_value=1, max_value=5))
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    if not directed:
+        arcs = [(u, v) for u, v in arcs if u < v]
+    chosen = draw(st.lists(st.sampled_from(arcs), min_size=n - 1,
+                           max_size=min(3 * n, len(arcs)), unique=True))
+    labels = draw(st.lists(st.integers(0, num_labels - 1),
+                           min_size=len(chosen), max_size=len(chosen)))
+    graph = EdgeLabeledGraph.from_edges(
+        n, [(u, v, lab) for (u, v), lab in zip(chosen, labels)],
+        num_labels=num_labels, directed=directed,
+    )
+    top = (1 << num_labels) - 1
+    vertex = st.integers(0, n - 1)
+    mask = st.integers(0, top)
+    batch = draw(st.lists(st.tuples(vertex, vertex, mask), max_size=40))
+    for m in range(top + 1):
+        batch.append((draw(vertex), draw(vertex), m))
+    batch += [(0, draw(vertex), 0), (1, 1, draw(mask)), (2, 2, 0),
+              (0, 1, top), (draw(vertex), 2, draw(mask))]
+    order = draw(st.permutations(range(len(batch))))
+    return graph, [batch[i] for i in order]
+
+
+def _arc_weights(graph, seed: int) -> np.ndarray:
+    """Positive weights, equal on both orientations of an undirected edge."""
+    rng = np.random.default_rng(seed)
+    weights = np.empty(graph.num_arcs, dtype=np.float64)
+    per_edge: dict[tuple[int, int, int], float] = {}
+    for u in range(graph.num_vertices):
+        for i in range(int(graph.indptr[u]), int(graph.indptr[u + 1])):
+            v, lab = int(graph.neighbors[i]), int(graph.edge_labels[i])
+            key = (min(u, v), max(u, v), lab)
+            weights[i] = per_edge.setdefault(key, float(rng.uniform(0.5, 4.0)))
+    return weights
+
+
+def _mixed_mask_oracles(graph, store_dir: Path):
+    """Every executor configuration over ``graph``, keyed by a label."""
+    k = 3
+    landmarks = list(range(k))
+    colors = [i % graph.num_labels for i in range(k)]
+    oracles = {
+        "powcov": PowCovIndex(graph, landmarks).build(),
+        "powcov-median": PowCovIndex(
+            graph, landmarks, estimator="median"
+        ).build(),
+        "chromland-auxiliary": ChromLandIndex(graph, landmarks, colors).build(),
+        "chromland-simple": ChromLandIndex(
+            graph, landmarks, colors, query_mode="simple"
+        ).build(),
+        "naive": NaivePowersetIndex(graph, landmarks).build(),
+    }
+    if not graph.directed:
+        oracles["powcov-weighted"] = WeightedPowCovIndex(
+            graph, landmarks, _arc_weights(graph, seed=graph.num_arcs)
+        ).build()
+    for name in ("powcov", "chromland-auxiliary"):
+        path = store_dir / f"{name}.repro"
+        save_index(oracles[name], path)
+        oracles[f"{name}-stored"] = open_index(path, graph)
+    return oracles
+
+
+class TestMixedMaskBatches:
+    @DIFFERENTIAL
+    @given(mixed_mask_cases())
+    def test_every_executor_matches_scalar(self, kernel, case):
+        """One batch over many masks: each executor answers it exactly
+        like the scalar loop, bit for bit (``inf`` included)."""
+        graph, batch = case
+        kind = "directed" if graph.directed else "undirected"
+        with tempfile.TemporaryDirectory() as store_dir:
+            oracles = _mixed_mask_oracles(graph, Path(store_dir))
+            if "powcov-stored" in oracles:
+                assert isinstance(oracles["powcov-stored"].forward.dist, np.memmap)
+            for name, oracle in oracles.items():
+                want = np.array([oracle.query(s, t, m) for s, t, m in batch])
+                for path, got in (
+                    ("batch", execute_batch(oracle, batch)),
+                    ("session", QuerySession(oracle, cache_size=0).run(batch)),
+                ):
+                    assert np.array(got).tobytes() == want.tobytes(), (
+                        f"{name}[{kind}/{kernel}]/{path} diverged on a "
+                        f"mixed-mask batch"
+                    )
+
+
+# ----------------------------------------------------------------------
 # The harness must fail when an executor diverges
 # ----------------------------------------------------------------------
 class TestHarnessSensitivity:
@@ -351,15 +461,15 @@ class TestHarnessSensitivity:
         # Sanity: the untampered executor passes.
         assert_paths_agree(oracle, queries, exact, "powcov")
 
-        real = PowCovExecutor.execute_group
+        real = PowCovExecutor.execute
 
-        def corrupted(self, mask_plan, group):
-            out = np.asarray(real(self, mask_plan, group), dtype=np.float64)
+        def corrupted(self, batch):
+            out = np.asarray(real(self, batch), dtype=np.float64)
             out = out.copy()
             out[np.isfinite(out)] += 1.0
             return out
 
-        monkeypatch.setattr(PowCovExecutor, "execute_group", corrupted)
+        monkeypatch.setattr(PowCovExecutor, "execute", corrupted)
         with pytest.raises(AssertionError, match="diverged"):
             assert_paths_agree(oracle, queries, exact, "powcov-mutated")
 

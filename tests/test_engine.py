@@ -5,7 +5,7 @@ execution — with or without answer caching — returns exactly what the
 scalar ``oracle.query`` loop returns, including the edge cases
 (``s == t``, empty constraint masks, unreachable pairs).  The tests here
 sweep that contract across every oracle family (PowCov in memory and
-store-opened), then cover the planning layer, session caches, counters,
+store-opened), then cover the column batch, session caches, counters,
 and config plumbing.
 """
 
@@ -23,8 +23,8 @@ from repro.core.powcov import PowCovIndex, WeightedPowCovIndex
 from repro.core.types import Query
 from repro.engine import (
     EngineConfig,
-    ExecutionPlan,
     PowCovExecutor,
+    QueryBatch,
     QuerySession,
     ScalarLoopExecutor,
     default_engine,
@@ -179,6 +179,21 @@ class TestBitIdentity:
         ):
             assert execute_batch(oracle, batch) == scalar_answers(oracle, batch)
 
+    @pytest.mark.parametrize("kind", ["powcov", "chromland"])
+    def test_zero_landmarks(self, undirected, kind):
+        """With no landmarks every s != t query is inf and s == t is 0,
+        on the batch path too: a min over an empty landmark axis must not
+        raise."""
+        if kind == "powcov":
+            index = PowCovIndex(undirected, []).build()
+        else:
+            index = ChromLandIndex(undirected, [], []).build()
+        batch = mixed_batch(undirected, 40)
+        assert execute_batch(index, batch) == [
+            0.0 if s == t else float("inf") for s, t, _ in batch
+        ]
+        assert_engine_matches_scalar(index, batch)
+
     def test_batch_query_delegates_to_engine(self, undirected, landmarks):
         index = PowCovIndex(undirected, landmarks).build()
         queries = [Query(s, t, m) for s, t, m in mixed_batch(undirected, 50)]
@@ -202,24 +217,26 @@ class TestPlanning:
         with pytest.raises(ValueError):
             to_triple_array(np.zeros((3, 2), dtype=np.int64))
 
-    def test_plan_groups_partition_batch(self):
+    def test_plan_batch_columns(self):
         batch = [(0, 1, 5), (1, 2, 3), (2, 3, 5), (3, 4, 3), (4, 5, 5)]
-        plan = plan_batch(batch)
-        assert isinstance(plan, ExecutionPlan)
-        assert plan.num_queries == len(batch)
-        assert plan.num_masks == 2
-        masks = [g.label_mask for g in plan.groups]
-        assert masks == sorted(masks)
-        seen = np.concatenate([g.positions for g in plan.groups])
-        assert sorted(seen.tolist()) == list(range(len(batch)))
-        for group in plan.groups:
-            for pos, s, t in zip(group.positions, group.sources, group.targets):
-                assert batch[pos] == (s, t, group.label_mask)
+        for form in (batch, [Query(s, t, m) for s, t, m in batch],
+                     np.asarray(batch, dtype=np.int64)):
+            columns = plan_batch(form)
+            assert isinstance(columns, QueryBatch)
+            assert len(columns) == len(batch)
+            # Submission order, one mask per query: no grouping.
+            assert list(zip(columns.sources.tolist(), columns.targets.tolist(),
+                            columns.masks.tolist())) == batch
+            for column in (columns.sources, columns.targets, columns.masks):
+                assert column.dtype == np.int64
+        picked = plan_batch(batch).select(np.array([4, 0]))
+        assert picked.masks.tolist() == [5, 5]
+        assert picked.sources.tolist() == [4, 0]
 
     def test_empty_plan(self):
-        plan = plan_batch([])
-        assert plan.num_queries == 0
-        assert plan.groups == ()
+        columns = plan_batch([])
+        assert len(columns) == 0
+        assert columns.masks.shape == (0,)
 
 
 class TestQuerySession:
@@ -230,8 +247,6 @@ class TestQuerySession:
     def test_validation(self, index):
         with pytest.raises(ValueError):
             QuerySession(index, cache_size=-1)
-        with pytest.raises(ValueError):
-            QuerySession(index, plan_cache_size=0)
 
     def test_counters_and_cache_info(self, index, undirected):
         batch = mixed_batch(undirected, 80)
@@ -256,18 +271,6 @@ class TestQuerySession:
         session.run(batch)
         assert session.stats.counters["cache_evictions"] == len(batch) - 8
         assert len(session._answers) == 8
-
-    def test_plan_cache(self, index):
-        # cache_size=0 so every run reaches the plan lookup (answers
-        # would otherwise short-circuit repeated masks entirely).
-        session = QuerySession(index, cache_size=0, plan_cache_size=2)
-        for mask in (1, 2, 1, 4, 1):
-            session.run([(0, 1, mask)])
-        counters = session.stats.counters
-        # plan: 1, 2 planned; 1 hits (LRU order [2, 1]); 4 evicts 2;
-        # 1 hits again.
-        assert counters["masks_planned"] == 3
-        assert counters["plan_cache_hits"] == 2
 
     def test_scalar_query_path_cached(self, index):
         session = QuerySession(index)
@@ -374,15 +377,16 @@ class TestCacheGraphIdentity:
         # Served from cache: the original graph's entry became a hit again.
         assert session.stats.counters["cache_hits"] == hits_before + 1
 
-    def test_rebind_drops_plans_keeps_answers(self, undirected, landmarks):
+    def test_rebind_swaps_executor_keeps_answers(self, undirected, landmarks):
         index = PowCovIndex(undirected, landmarks).build()
         session = QuerySession(index, cache_size=64)
         batch = mixed_batch(undirected, num_queries=20)
         session.run(batch)
-        assert session.cache_info()["cached_plans"] > 0
-        session.rebind(ChromLandIndex(undirected, landmarks,
-                                      [0] * len(landmarks)).build())
-        assert session.cache_info()["cached_plans"] == 0
+        assert isinstance(session.executor, PowCovExecutor)
+        chromland = ChromLandIndex(undirected, landmarks,
+                                   [0] * len(landmarks)).build()
+        session.rebind(chromland)
+        assert session.executor.oracle is chromland
         assert session.cache_info()["cached_answers"] > 0
 
 

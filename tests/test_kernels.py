@@ -26,10 +26,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.core.chromland.query import (
-    AuxiliaryPlan,
-    auxiliary_distance_from_plan,
-)
 from repro.graph.labeled_graph import EdgeLabeledGraph
 from repro.kernels import (
     KERNEL_CHOICES,
@@ -216,62 +212,119 @@ class TestOneRemovedIdentity:
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: auxiliary-graph Dijkstra (weighted)
+# Bit-identity: batched auxiliary-graph Dijkstra (weighted)
 # ----------------------------------------------------------------------
-def _random_aux(data):
-    """A masked auxiliary adjacency + endpoint legs, with infs sprinkled."""
-    k = data.draw(st.integers(1, 8))
+def _random_aux_batch(data):
+    """Bi-chromatic weights + a ``(g, k)`` batch of usable rows and legs.
+
+    Row 0 has no usable landmark and row 1 only landmarks of one color;
+    ``tied`` draws small integers so equal distances are common.  Legs of
+    unusable landmarks stay finite: the kernel must ignore them.
+    """
+    k = data.draw(st.integers(0, 8))
+    g = data.draw(st.integers(2, 7))
+    tied = data.draw(st.booleans())
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-    weights = rng.uniform(0.5, 10.0, size=(k, k))
-    weights[rng.random((k, k)) < 0.4] = np.inf
-    np.fill_diagonal(weights, np.inf)
-    ds = rng.uniform(0.0, 10.0, size=k)
-    dt = rng.uniform(0.0, 10.0, size=k)
-    ds[rng.random(k) < 0.3] = np.inf
-    dt[rng.random(k) < 0.3] = np.inf
-    return weights, ds, dt
+    colors = rng.integers(0, 3, size=k)
+
+    def values(shape):
+        if tied:
+            return rng.integers(0, 4, size=shape).astype(np.float64)
+        return rng.uniform(0.5, 10.0, size=shape)
+
+    weights = values((k, k))
+    weights[rng.random((k, k)) < 0.3] = np.inf
+    weights[colors[:, None] == colors[None, :]] = np.inf
+    usable = rng.random((g, k)) < 0.6
+    usable[0] = False
+    if k:
+        usable[1] = colors == colors[0]
+    ds = values((g, k))
+    dt = values((g, k))
+    ds[rng.random((g, k)) < 0.25] = np.inf
+    dt[rng.random((g, k)) < 0.25] = np.inf
+    return weights, usable, ds, dt
+
+
+def _plain_dijkstra(weights, usable_row, ds_row, dt_row) -> float:
+    """Textbook dense Dijkstra on one query's auxiliary graph: node 0 is s,
+    nodes 1..u the usable landmarks (index order), node u + 1 is t."""
+    idx = np.nonzero(usable_row)[0]
+    u = len(idx)
+    adj = np.full((u + 2, u + 2), np.inf)
+    adj[0, 1:u + 1] = ds_row[idx]
+    adj[1:u + 1, u + 1] = dt_row[idx]
+    adj[1:u + 1, 1:u + 1] = weights[np.ix_(idx, idx)]
+    dist = np.full(u + 2, np.inf)
+    dist[0] = 0.0
+    done = np.zeros(u + 2, dtype=bool)
+    for _ in range(u + 2):
+        open_dist = np.where(done, np.inf, dist)
+        node = int(open_dist.argmin())
+        if not np.isfinite(open_dist[node]):
+            break
+        done[node] = True
+        dist = np.minimum(dist, dist[node] + adj[node])
+    return float(dist[u + 1])
 
 
 class TestAuxDijkstraIdentity:
     @KERNEL_SETTINGS
     @given(st.data())
     def test_matches_numpy(self, compiled, data):
-        weights, ds, dt = _random_aux(data)
-        best = float((ds + dt).min())
-        want = NUMPY.aux_dijkstra(weights, ds.copy(), dt, best)
-        got = compiled.aux_dijkstra(weights, ds.copy(), dt, best)
-        assert got == want or (np.isinf(got) and np.isinf(want))
+        weights, usable, ds, dt = _random_aux_batch(data)
+        want = NUMPY.aux_dijkstra(weights, usable, ds, dt)
+        got = compiled.aux_dijkstra(weights, usable, ds, dt)
+        assert got.shape == want.shape == (len(ds),)
         # Bit-identity, not closeness: identical IEEE operation order.
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert got.tobytes() == want.tobytes()
+        assert np.isinf(want[0])  # the row with no usable landmark
 
     @KERNEL_SETTINGS
     @given(st.data())
     def test_noncontiguous_legs(self, compiled, data):
-        """ChromLand hands column slices of ``(k, batch)`` leg matrices —
-        compiled wrappers must coerce non-contiguous input correctly."""
-        weights, ds, dt = _random_aux(data)
-        k = len(ds)
-        ds2 = np.empty((k, 3))
-        dt2 = np.empty((k, 3))
-        ds2[:, 1] = ds
-        dt2[:, 1] = dt
-        usable = np.arange(k, dtype=np.int64)
-        plan = AuxiliaryPlan(usable=usable, weights=weights)
-        want = auxiliary_distance_from_plan(
-            plan, ds2[:, 1], dt2[:, 1], kernel=NUMPY
+        """Compiled wrappers must coerce strided inputs correctly."""
+        weights, usable, ds, dt = _random_aux_batch(data)
+        g, k = ds.shape
+        wide = np.zeros((g, 2 * k + 1))
+        wide[:, 1::2] = ds
+        wide_t = np.zeros((2 * k + 1, g))
+        wide_t[1::2] = dt.T
+        want = NUMPY.aux_dijkstra(weights, usable, ds, dt)
+        got = compiled.aux_dijkstra(
+            weights.T.copy().T, usable.T.copy().T, wide[:, 1::2], wide_t[1::2].T
         )
-        got = auxiliary_distance_from_plan(
-            plan, ds2[:, 1], dt2[:, 1], kernel=compiled
-        )
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert got.tobytes() == want.tobytes()
+
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_rows_match_plain_dijkstra(self, data):
+        """Reference: every row is the shortest s-t path over that row's
+        usable sub-matrix (integer weights keep the sums exact)."""
+        weights, usable, ds, dt = _random_aux_batch(data)
+        weights, ds, dt = (np.ceil(a) for a in (weights, ds, dt))
+        got = NUMPY.aux_dijkstra(weights, usable, ds, dt)
+        for r in range(len(ds)):
+            assert got[r] == _plain_dijkstra(weights, usable[r], ds[r], dt[r])
+
+    def test_rejects_mismatched_shapes(self, compiled):
+        """Compiled loops trust their sizes, so the wrapper checks them."""
+        weights = np.full((3, 3), np.inf)
+        legs = np.zeros((2, 3))
+        usable = np.ones((2, 3), dtype=bool)
+        with pytest.raises(ValueError, match="aux_dijkstra"):
+            compiled.aux_dijkstra(weights, usable, legs, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="aux_dijkstra"):
+            compiled.aux_dijkstra(np.full((2, 2), np.inf), usable, legs, legs)
 
     def test_all_unreachable(self, compiled):
         k = 4
         weights = np.full((k, k), np.inf)
-        legs = np.full(k, np.inf)
-        want = NUMPY.aux_dijkstra(weights, legs.copy(), legs, float("inf"))
-        got = compiled.aux_dijkstra(weights, legs.copy(), legs, float("inf"))
-        assert np.isinf(want) and np.isinf(got)
+        legs = np.full((3, k), np.inf)
+        usable = np.ones((3, k), dtype=bool)
+        want = NUMPY.aux_dijkstra(weights, usable, legs, legs)
+        got = compiled.aux_dijkstra(weights, usable, legs, legs)
+        assert np.isinf(want).all() and np.isinf(got).all()
 
 
 # ----------------------------------------------------------------------

@@ -119,7 +119,6 @@ class TestStreamThroughput:
         assert report.elapsed_seconds > 0
         assert report.queries_per_second > 0
         assert report.cache_hits + report.cache_misses == len(stream)
-        assert report.masks_planned > 0
 
     def test_warm_session_replay_hits_cache(self, graph, index):
         from repro.engine import QuerySession
@@ -131,7 +130,6 @@ class TestStreamThroughput:
         assert warm.cache_hits == len(stream)
         assert warm.cache_misses == 0
         assert warm.hit_rate == 1.0
-        assert warm.masks_planned == 0
 
     def test_describe_mentions_throughput(self, graph, index):
         _, report = run_stream_throughput(
