@@ -2,10 +2,9 @@
 
 The analyzer gates every commit (pre-commit hook, blocking CI job), so
 its latency is a product property: a cold full pass over ``src/repro``
-must stay interactive, and a warm cached pass must land well under the
-10 s budget documented in ``docs/ANALYSIS.md``. The non-benchmark test
-enforces the budget on every run; the ``pytest-benchmark`` entries
-record the trend.
+must land well under the 10 s budget documented in ``docs/ANALYSIS.md``.
+The non-benchmark test enforces the budget on every run; the
+``pytest-benchmark`` entry records the trend.
 """
 
 from __future__ import annotations
@@ -20,49 +19,23 @@ from repro.analysis.flow import analyze_paths
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 
-#: Seconds allowed for one full pass (cold or warm) over src/repro.
+#: Seconds allowed for one full pass over src/repro.
 FLOW_BUDGET_S = 10.0
 
 
-def test_flow_pass_meets_budget(tmp_path):
-    cache = tmp_path / "flow-cache.json"
-
+def test_flow_pass_meets_budget():
     started = time.perf_counter()
-    cold = analyze_paths([SRC], cache_path=cache)
+    analyze_paths([SRC])
     cold_s = time.perf_counter() - started
 
-    started = time.perf_counter()
-    warm = analyze_paths([SRC], cache_path=cache)
-    warm_s = time.perf_counter() - started
-
-    # The cached pass must reproduce the cold findings exactly.
-    assert [(f.format(), fp) for f, fp in warm] == [
-        (f.format(), fp) for f, fp in cold
-    ]
-    print(
-        f"\nflow pass over src/repro: cold {cold_s:.2f}s, "
-        f"warm {warm_s:.2f}s (budget {FLOW_BUDGET_S:.0f}s)"
-    )
+    print(f"\nflow pass over src/repro: cold {cold_s:.2f}s (budget {FLOW_BUDGET_S:.0f}s)")
     assert cold_s < FLOW_BUDGET_S, f"cold flow pass took {cold_s:.2f}s"
-    assert warm_s < FLOW_BUDGET_S, f"warm cached flow pass took {warm_s:.2f}s"
 
 
 @pytest.mark.benchmark(group="flow-analysis")
 def test_bench_flow_cold(benchmark):
     def cold_pass():
-        return analyze_paths([SRC], cache_path=None)
+        return analyze_paths([SRC])
 
     results = benchmark(cold_pass)
-    assert isinstance(results, list)
-
-
-@pytest.mark.benchmark(group="flow-analysis")
-def test_bench_flow_warm(benchmark, tmp_path):
-    cache = tmp_path / "flow-cache.json"
-    analyze_paths([SRC], cache_path=cache)  # prime
-
-    def warm_pass():
-        return analyze_paths([SRC], cache_path=cache)
-
-    results = benchmark(warm_pass)
     assert isinstance(results, list)

@@ -7,11 +7,11 @@ built by :mod:`repro.graph.labelsets`, hot paths must stay deterministic
 and vectorized.  This package machine-checks those conventions:
 
 * :mod:`repro.analysis.lint` — project-specific AST lint rules
-  (REPRO000–REPRO008) with a CLI (``python -m repro.analysis lint``);
-* :mod:`repro.analysis.flow` — flow-sensitive abstract interpretation
-  (REPRO009–REPRO013): dtype/width tracking, mask/vertex/distance unit
-  domains, and shared-memory/memmap lifecycle checking, with baseline,
-  per-file cache and SARIF output (``python -m repro.analysis flow``);
+  (REPRO000–REPRO004, REPRO006–REPRO008, REPRO014) with a CLI
+  (``python -m repro.analysis lint``);
+* :mod:`repro.analysis.flow` — flow-sensitive shared-memory and memmap
+  lifecycle checking (REPRO012/REPRO013) with SARIF output
+  (``python -m repro.analysis flow``);
 * :mod:`repro.analysis.audit` — runtime invariant auditors for the graph
   substrate and both paper indexes (``audit_graph`` / ``audit_powcov`` /
   ``audit_chromland``), exposed through ``--selfcheck`` on the eval CLI

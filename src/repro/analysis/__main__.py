@@ -3,8 +3,8 @@
 ``python -m repro.analysis.lint`` keeps working for the AST rules; this
 entry point adds the subcommand form the CI jobs and docs use:
 
-* ``python -m repro.analysis lint [paths...]`` — REPRO000-REPRO008
-* ``python -m repro.analysis flow [paths...]`` — REPRO009-REPRO013
+* ``python -m repro.analysis lint [paths...]`` — REPRO000-004, 006-008, 014
+* ``python -m repro.analysis flow [paths...]`` — REPRO012-REPRO013
 """
 
 from __future__ import annotations

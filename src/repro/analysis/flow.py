@@ -1,29 +1,19 @@
-"""Flow-sensitive dataflow analyses over the package AST (REPRO009–013).
+"""Flow-sensitive resource-lifecycle analysis over the package AST (REPRO012/013).
 
 Where :mod:`repro.analysis.lint` matches single AST nodes, this module
 *interprets* whole functions: it builds a per-function control-flow graph
-(:class:`Block`), runs a forward abstract-interpretation fixpoint over the
-product lattice in :mod:`repro.analysis.domains`, consults the
-interprocedural call summaries in :mod:`repro.analysis.summaries`, and then
-replays the final states through three checkers:
+(:class:`Block`), runs a forward abstract-interpretation fixpoint that
+tracks which allocation sites each value may refer to and whether it is a
+read-only array view, and then replays the final states through two
+checkers:
 
-``REPRO009`` (dtype/width)
-    Silent integer/float narrowing through ``astype`` or element stores,
-    ``1 << k`` shifts where ``k``'s interval can reach the operand width,
-    and comparisons between distance arrays of provably different widths.
-``REPRO010`` / ``REPRO011`` (units)
-    Values are classified into the paper's unit domains — label-set
-    bitmask, vertex id, distance, landmark index — by their producers
-    (``label_bit``, ``full_mask``, BFS kernels, CSR accessors) and by
-    parameter names.  REPRO010 flags arithmetic/comparison that mixes two
-    known domains; REPRO011 flags a call argument whose domain contradicts
-    the parameter it binds to.
-``REPRO012`` / ``REPRO013`` (resources)
-    Allocation-site lifecycle tracking for the shared-memory layer
-    (``SharedGraphPack`` / ``SharedMemory`` / ``attach_graph``: REPRO012)
-    and for ``np.memmap`` handles plus read-only ``PowCovTable`` columns
-    (REPRO013): use-after-close, ``unlink()`` before ``close()``, handles
-    leaked on normal or exception paths, and writes into read-only views.
+``REPRO012`` (shared memory)
+    ``SharedMemory`` / ``SharedGraphPack`` / ``share_graphs`` /
+    ``attach_graph`` handles: use-after-close, ``unlink()`` before
+    ``close()``, and handles leaked on normal or exception paths.
+``REPRO013`` (memmaps)
+    ``np.memmap`` handles leaked the same way, plus writes into read-only
+    views (``mode="r"`` maps, ``PowCovTable`` columns, CSR accessors).
 
 Exception edges propagate the *entry* state of the raising block, so a
 resource that is open when a statement can raise is seen as open at the
@@ -32,19 +22,15 @@ leak-on-exception check sound.  ``with`` statements mark their context
 managers as externally managed (no leak report) while still modeling the
 close-on-exit transition for use-after-close detection.
 
+The analysis is intraprocedural: what it knows about a call comes from a
+small table of resource factories, so each file is checked on its own.
 Findings flow through the same :class:`~repro.analysis.lint.LintFinding` /
-``# noqa: REPRO0xx`` machinery as the AST rules.  On top of that sit three
-CI conveniences:
-
-* a **baseline** file (``flow-baseline.txt``) of accepted pre-existing
-  findings, keyed by content fingerprints that survive line renumbering;
-* a per-file **result cache** keyed on source hash + summary-table digest
-  + engine version, keeping the warm full-package pass well under the
-   10 s CI budget;
-* ``--sarif`` output (SARIF 2.1.0) for GitHub code-scanning upload.
+``# noqa: REPRO0xx`` machinery as the AST rules; ``--sarif`` writes SARIF
+2.1.0 for GitHub code scanning, with fingerprints that survive line
+renumbering.
 
 Run it as ``python -m repro.analysis flow [paths...]`` (defaults to
-``src/repro``); exits non-zero iff un-baselined findings remain.
+``src/repro``); exits non-zero iff findings remain.
 """
 
 from __future__ import annotations
@@ -57,88 +43,119 @@ import sys
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from pathlib import Path
 
-from .domains import (
-    UNKNOWN,
-    AbstractValue,
-    Domain,
-    DType,
-    Interval,
-    ResourceState,
-    dtype_set,
-    may_narrow,
-    min_width,
-    parse_dtype_token,
-    promote,
-)
-from .lint import RULES, LintFinding, _iter_python_files, _module_key, _noqa_lines
-from .summaries import (
-    Summary,
-    _annotation_value,
-    classify_param_name,
-    collect_summaries,
-    summaries_digest,
+from .lint import (
+    FLOW_RULE_IDS,
+    RULES,
+    LintFinding,
+    _iter_python_files,
+    _module_key,
+    _noqa_lines,
 )
 
 __all__ = [
-    "ENGINE_VERSION",
     "FLOW_RULES",
     "Block",
     "build_cfg",
     "analyze_source",
     "analyze_paths",
     "finding_fingerprints",
-    "load_baseline",
     "write_sarif",
     "main",
 ]
 
-#: Bumped whenever the engine's semantics change; invalidates the cache.
-ENGINE_VERSION = 1
-
 #: The rules this engine owns (catalog text lives in ``lint.RULES``).
-FLOW_RULES = ("REPRO009", "REPRO010", "REPRO011", "REPRO012", "REPRO013")
+FLOW_RULES = tuple(sorted(FLOW_RULE_IDS))
 
-#: Default baseline / cache locations (repo-root relative).
-DEFAULT_BASELINE = Path("flow-baseline.txt")
-DEFAULT_CACHE = Path(".repro-flow-cache.json")
-
-#: Module exempt from domain-mixing checks: it *implements* mask algebra
-#: (Gosper's hack et al. legitimately does ``mask + lowest``).
-_DOMAIN_EXEMPT_MODULES = ("graph/labelsets.py",)
-
+#: Calls that allocate a lifecycle-tracked handle: bare callee name -> kind.
+#: Matched against both ``name(...)`` and ``module.name(...)`` calls.
+_RESOURCE_FACTORIES = {
+    "SharedMemory": "shm-block",
+    "SharedGraphPack": "shm-pack",
+    "share_graphs": "shm-pack",
+    "attach_graph": "attached-graph",
+}
 #: Lifecycle method names (never "use" of a resource).
 _LIFECYCLE_ATTRS = frozenset({"close", "unlink", "release", "__exit__"})
 #: Mutating ndarray methods (REPRO013 on read-only views).
 _ARRAY_WRITE_METHODS = frozenset(
     {"fill", "sort", "partition", "put", "itemset", "setflags", "resize"}
 )
-#: CSR accessor attributes — read-only views with unit domains.
-_CSR_READONLY = {
-    "indptr": AbstractValue(dtypes=dtype_set(DType.INT64), kind="array", readonly=True),
-    "neighbors": AbstractValue(kind="array", domain=Domain.VERTEX, readonly=True),
-    "edge_labels": AbstractValue(kind="array", readonly=True),
-}
+#: CSR accessor attributes: read-only views.
+_CSR_ATTRS = frozenset({"indptr", "neighbors", "edge_labels"})
 #: PowCovTable column attributes (possibly mmap-backed, mode="r").
-_MAPPED_COLUMNS = {
-    "offsets": AbstractValue(
-        dtypes=dtype_set(DType.INT64), kind="array", readonly=True
-    ),
-    "dist": AbstractValue(
-        dtypes=dtype_set(DType.INT32, DType.FLOAT64),
-        kind="array",
-        domain=Domain.DIST,
-        readonly=True,
-    ),
-    "mask": AbstractValue(
-        dtypes=dtype_set(DType.INT64),
-        kind="array",
-        domain=Domain.MASK,
-        readonly=True,
-    ),
-}
+_MAPPED_COLUMNS = frozenset({"offsets", "dist", "mask"})
+#: numpy functions returning a fresh array the caller owns.
+_NUMPY_ARRAY_FACTORIES = frozenset(
+    {
+        "zeros", "ones", "empty", "full",
+        "zeros_like", "ones_like", "empty_like", "full_like",
+        "arange", "asarray", "ascontiguousarray", "array", "copy",
+        "searchsorted", "flatnonzero", "nonzero", "argsort", "argmin", "argmax",
+    }
+)
 
+
+# ---------------------------------------------------------------------------
+# Abstract values
+# ---------------------------------------------------------------------------
+
+
+class ResourceState(Enum):
+    """Lifecycle state of one resource allocation site."""
+
+    OPEN = "open"
+    CLOSED = "closed"
+    UNLINKED = "unlinked"
+    #: The resource left the function (returned / stored / passed on):
+    #: cleanup responsibility transferred, no leak is reported.
+    ESCAPED = "escaped"
+
+
+@dataclass(frozen=True)
+class AbstractValue:
+    """What the engine knows about one expression's value.
+
+    ``kind`` is a coarse shape tag: ``"array"``, ``"iter"`` (an iterable
+    whose element abstraction is ``elem``), ``"slice"`` or ``"unknown"``.
+    ``resources`` is the set of allocation sites the value may refer to;
+    the per-site lifecycle state lives in the flow state, not in the value,
+    so that aliases observe each other's ``close()`` / ``unlink()`` /
+    ``release()`` transitions.  ``tag`` carries engine-private markers:
+    ``"module:numpy"``, ``"mapped-table"`` for ``PowCovTable`` values
+    (whose columns are read-only) and ``"const:<text>"`` for short string
+    literals such as a memmap ``mode``.
+    """
+
+    kind: str = "unknown"
+    readonly: bool = False
+    resources: frozenset[int] = frozenset()
+    tag: str | None = None
+    elem: AbstractValue | None = None
+
+    def join(self, other: AbstractValue) -> AbstractValue:
+        elem: AbstractValue | None
+        if self.elem is None or other.elem is None:
+            elem = None
+        else:
+            elem = self.elem.join(other.elem)
+        return AbstractValue(
+            kind=self.kind if self.kind == other.kind else "unknown",
+            readonly=self.readonly or other.readonly,
+            resources=self.resources | other.resources,
+            tag=self.tag if self.tag == other.tag else None,
+            elem=elem,
+        )
+
+
+#: The top element: nothing known.
+UNKNOWN = AbstractValue()
+_ARRAY = AbstractValue(kind="array")
+_READONLY_ARRAY = AbstractValue(kind="array", readonly=True)
+_MAPPED_TABLE = AbstractValue(tag="mapped-table")
+_NUMPY = AbstractValue(tag="module:numpy")
 _OPEN = frozenset({ResourceState.OPEN})
 
 
@@ -428,12 +445,12 @@ class _State:
     def copy(self) -> "_State":
         return _State(dict(self.vars), dict(self.res))
 
-    def join(self, other: "_State", widen: bool = False) -> "_State":
+    def join(self, other: "_State") -> "_State":
         merged: dict[str, AbstractValue] = {}
         for name in self.vars.keys() | other.vars.keys():
-            a = self.vars.get(name, UNKNOWN)
-            b = other.vars.get(name, UNKNOWN)
-            merged[name] = b.widen_against(a) if widen else a.join(b)
+            merged[name] = self.vars.get(name, UNKNOWN).join(
+                other.vars.get(name, UNKNOWN)
+            )
         res: dict[int, frozenset[ResourceState]] = {}
         for sid in self.res.keys() | other.res.keys():
             res[sid] = self.res.get(sid, frozenset()) | other.res.get(sid, frozenset())
@@ -460,8 +477,6 @@ class _Site:
     managed: bool = False  # context-managed: cleanup is someone else's job
 
 
-#: Visits to one block before interval widening kicks in.
-_WIDEN_AFTER = 8
 #: Hard safety valve on fixpoint iterations per function.
 _MAX_STEPS_PER_BLOCK = 64
 
@@ -475,19 +490,11 @@ class _FunctionAnalyzer:
     """Abstract-interpret one function (or the module top level)."""
 
     def __init__(
-        self,
-        module: str,
-        path: str,
-        summaries: dict[str, Summary],
-        body: Sequence[ast.stmt],
-        args: ast.arguments | None,
+        self, path: str, body: Sequence[ast.stmt], args: ast.arguments | None
     ) -> None:
-        self.module = module
         self.path = path
-        self.summaries = summaries
         self.blocks, self.entry, self.exit, self.raise_exit = build_cfg(body)
         self.args = args
-        self.check_domains = module not in _DOMAIN_EXEMPT_MODULES
         self._sites: dict[int, _Site] = {}
         self._site_ids: dict[tuple[int, int, str], int] = {}
         self._findings: dict[tuple[int, int, str], LintFinding] = {}
@@ -502,25 +509,20 @@ class _FunctionAnalyzer:
 
     # -- entry seeding -------------------------------------------------
     def _seed(self) -> _State:
+        # Parameters shadow module-level names (a parameter called ``np``
+        # is not numpy).
         state = _State()
-        if self.args is None:
-            return state
-        arg_list = self.args.posonlyargs + self.args.args + self.args.kwonlyargs
-        for arg in arg_list:
-            value = _annotation_value(arg.annotation)
-            domain = classify_param_name(arg.arg)
-            if domain is not None:
-                value = value.with_domain(domain)
-            state.vars[arg.arg] = value
-        for arg in (self.args.vararg, self.args.kwarg):
-            if arg is not None:
-                state.vars[arg.arg] = UNKNOWN
+        if self.args is not None:
+            args = self.args
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                        args.vararg, args.kwarg]:
+                if arg is not None:
+                    state.vars[arg.arg] = UNKNOWN
         return state
 
     # -- driver --------------------------------------------------------
     def run(self) -> list[LintFinding]:
         in_states: dict[int, _State] = {self.entry: self._seed()}
-        visits: dict[int, int] = {}
         work: deque[int] = deque([self.entry])
         budget = _MAX_STEPS_PER_BLOCK * max(1, len(self.blocks))
         while work and budget > 0:
@@ -529,10 +531,10 @@ class _FunctionAnalyzer:
             entry_state = in_states[bid]
             out = self._transfer(self.blocks[bid], entry_state, report=False)
             for succ in self.blocks[bid].succs:
-                self._merge(succ, out, in_states, visits, work)
+                self._merge(succ, out, in_states, work)
             for succ in self.blocks[bid].exc_succs:
                 # Exception edges carry the state *before* the block ran.
-                self._merge(succ, entry_state, in_states, visits, work)
+                self._merge(succ, entry_state, in_states, work)
         # Check pass: replay every reachable block against its fixed state.
         for bid, state in in_states.items():
             if self.blocks[bid].ops:
@@ -540,22 +542,16 @@ class _FunctionAnalyzer:
         self._check_leaks(in_states)
         return list(self._findings.values())
 
+    @staticmethod
     def _merge(
-        self,
-        target: int,
-        state: _State,
-        in_states: dict[int, _State],
-        visits: dict[int, int],
-        work: deque[int],
+        target: int, state: _State, in_states: dict[int, _State], work: deque[int]
     ) -> None:
         current = in_states.get(target)
         if current is None:
             in_states[target] = state.copy()
             work.append(target)
             return
-        count = visits.get(target, 0) + 1
-        visits[target] = count
-        joined = current.join(state, widen=count > _WIDEN_AFTER)
+        joined = current.join(state)
         if joined != current:
             in_states[target] = joined
             work.append(target)
@@ -638,16 +634,14 @@ class _FunctionAnalyzer:
             for target in stmt.targets:
                 self._bind(target, value, st, report)
         elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                value = self._eval(stmt.value, st, report)
-            else:
-                value = _annotation_value(stmt.annotation)
+            value = (
+                self._eval(stmt.value, st, report) if stmt.value is not None else UNKNOWN
+            )
             self._bind(stmt.target, value, st, report)
         elif isinstance(stmt, ast.AugAssign):
             left = self._eval(stmt.target, st, report)
             right = self._eval(stmt.value, st, report)
-            value = self._binop(stmt, stmt.op, left, right, report)
-            self._bind(stmt.target, value, st, report)
+            self._bind(stmt.target, _binop(left, right), st, report)
         elif isinstance(stmt, ast.Expr):
             self._eval(stmt.value, st, report)
         elif isinstance(stmt, ast.Raise):
@@ -663,7 +657,7 @@ class _FunctionAnalyzer:
             for alias in stmt.names:
                 name = alias.asname or alias.name.split(".")[0]
                 if alias.name in ("numpy", "numpy.typing"):
-                    st.vars[name] = AbstractValue(tag="module:numpy")
+                    st.vars[name] = _NUMPY
                 else:
                     st.vars[name] = UNKNOWN
         elif isinstance(stmt, ast.ImportFrom):
@@ -696,17 +690,6 @@ class _FunctionAnalyzer:
                     "store into a read-only array view (memmap mode='r' / "
                     "PowCovTable column / CSR accessor)",
                 )
-            if (
-                report
-                and base.kind == "array"
-                and may_narrow(value.dtypes, base.dtypes)
-            ):
-                self._flag(
-                    target,
-                    "REPRO009",
-                    f"element store may narrow {_fmt_dtypes(value.dtypes)} "
-                    f"to {_fmt_dtypes(base.dtypes)} silently",
-                )
             self._escape(value, st)
 
     # -- resource helpers ---------------------------------------------
@@ -715,7 +698,7 @@ class _FunctionAnalyzer:
         sid = self._site_ids.setdefault(key, len(self._site_ids))
         self._sites.setdefault(sid, _Site(kind, key[0], key[1]))
         st.res[sid] = _OPEN
-        return AbstractValue(resources=frozenset({sid}), tag=f"resource:{kind}")
+        return AbstractValue(resources=frozenset({sid}))
 
     def _transition(
         self,
@@ -765,7 +748,7 @@ class _FunctionAnalyzer:
             if node.id in st.vars:
                 return st.vars[node.id]
             if node.id in ("np", "numpy"):
-                return AbstractValue(tag="module:numpy")
+                return _NUMPY
             return UNKNOWN
         if isinstance(node, ast.Attribute):
             return self._eval_attribute(node, st, report)
@@ -774,9 +757,11 @@ class _FunctionAnalyzer:
         if isinstance(node, ast.BinOp):
             left = self._eval(node.left, st, report)
             right = self._eval(node.right, st, report)
-            return self._binop(node, node.op, left, right, report)
+            return _binop(left, right)
         if isinstance(node, ast.Compare):
-            return self._compare(node, st, report)
+            for sub in (node.left, *node.comparators):
+                self._eval(sub, st, report)
+            return UNKNOWN
         if isinstance(node, ast.BoolOp):
             result = UNKNOWN
             for i, sub in enumerate(node.values):
@@ -785,12 +770,7 @@ class _FunctionAnalyzer:
             return result
         if isinstance(node, ast.UnaryOp):
             operand = self._eval(node.operand, st, report)
-            if isinstance(node.op, ast.Not):
-                return AbstractValue(dtypes=dtype_set(DType.BOOL), kind="scalar")
-            if isinstance(node.op, ast.USub):
-                ivl = operand.ivl.neg() if operand.ivl is not None else None
-                return replace(operand, ivl=ivl)
-            return operand
+            return UNKNOWN if isinstance(node.op, ast.Not) else operand
         if isinstance(node, ast.IfExp):
             self._eval(node.test, st, report)
             return self._eval(node.body, st, report).join(
@@ -847,20 +827,14 @@ class _FunctionAnalyzer:
             for sub in node.values:
                 if isinstance(sub, ast.FormattedValue):
                     self._eval(sub.value, st, report)
-            return AbstractValue(kind="scalar")
+            return UNKNOWN
         if isinstance(node, ast.FormattedValue):
             self._eval(node.value, st, report)
-            return AbstractValue(kind="scalar")
-        if isinstance(node, (ast.Await, ast.YieldFrom)):
+            return UNKNOWN
+        if isinstance(node, (ast.Await, ast.Yield, ast.YieldFrom)):
             if node.value is not None:
                 self._escape(self._eval(node.value, st, report), st)
             return UNKNOWN
-        if isinstance(node, ast.Yield):
-            if node.value is not None:
-                self._escape(self._eval(node.value, st, report), st)
-            return UNKNOWN
-        if isinstance(node, ast.Lambda):
-            return AbstractValue(kind="scalar")
         return UNKNOWN
 
     def _eval_attribute(
@@ -869,16 +843,13 @@ class _FunctionAnalyzer:
         base = self._eval(node.value, st, report)
         attr = node.attr
         if base.tag == "module:numpy":
-            dt = parse_dtype_token(attr)
-            if dt is not None:
-                return AbstractValue(dtypes=dtype_set(dt), kind="dtype")
-            return AbstractValue(tag=f"module:numpy.{attr}")
+            return UNKNOWN
         if base.tag == "mapped-table" and attr in _MAPPED_COLUMNS:
-            return _MAPPED_COLUMNS[attr]
+            return _READONLY_ARRAY
         if attr not in _LIFECYCLE_ATTRS:
             self._check_use(node, base, st, report)
-        if attr in _CSR_READONLY:
-            return _CSR_READONLY[attr]
+        if attr in _CSR_ATTRS:
+            return _READONLY_ARRAY
         return UNKNOWN
 
     def _eval_subscript(
@@ -889,115 +860,12 @@ class _FunctionAnalyzer:
         self._check_use(node, base, st, report)
         if base.kind == "iter":
             return _elem_of(base)
-        if base.kind == "array":
-            if index.kind in ("slice", "array") or isinstance(node.slice, ast.Slice):
-                return base  # a view: same dtype/domain/readonly
-            return AbstractValue(
-                dtypes=base.dtypes, kind="scalar", domain=base.domain, ivl=base.ivl
-            )
+        if base.kind == "array" and index.kind in ("slice", "array"):
+            return base  # a view: same readonly flag and resources
         return UNKNOWN
 
-    # -- operators -----------------------------------------------------
-    def _binop(
-        self,
-        node: ast.AST,
-        op: ast.operator,
-        left: AbstractValue,
-        right: AbstractValue,
-        report: bool,
-    ) -> AbstractValue:
-        if (
-            report
-            and self.check_domains
-            and left.domain is not None
-            and right.domain is not None
-            and left.domain != right.domain
-        ):
-            self._flag(
-                node,
-                "REPRO010",
-                f"arithmetic mixes unit domains: {left.domain.value} "
-                f"{_OP_NAMES.get(type(op), 'op')} {right.domain.value}",
-            )
-        if report and isinstance(op, ast.LShift):
-            width = min_width(left.dtypes) if left.dtypes else 0
-            all_fixed_int = bool(left.dtypes) and all(
-                d.is_fixed_width and d.is_integer for d in (left.dtypes or ())
-            )
-            shift = right.ivl
-            if (
-                all_fixed_int
-                and width > 0
-                and shift is not None
-                and shift.hi is not None
-                and shift.hi >= width
-            ):
-                self._flag(
-                    node,
-                    "REPRO009",
-                    f"left shift of a {width}-bit value by up to {shift.hi} "
-                    f"bits overflows (width {width})",
-                )
-        dtypes = _promote_sets(left.dtypes, right.dtypes)
-        if left.domain == right.domain:
-            domain = left.domain
-        elif left.domain is None:
-            domain = right.domain
-        elif right.domain is None:
-            domain = left.domain
-        else:
-            domain = None
-        ivl: Interval | None = None
-        if left.ivl is not None and right.ivl is not None:
-            if isinstance(op, ast.Add):
-                ivl = left.ivl.add(right.ivl)
-            elif isinstance(op, ast.Sub):
-                ivl = left.ivl.sub(right.ivl)
-        if left.kind == "array" or right.kind == "array":
-            kind = "array"
-        elif left.kind == "scalar" and right.kind == "scalar":
-            kind = "scalar"
-        else:
-            kind = "unknown"
-        return AbstractValue(dtypes=dtypes, kind=kind, domain=domain, ivl=ivl)
-
-    def _compare(self, node: ast.Compare, st: _State, report: bool) -> AbstractValue:
-        values = [self._eval(node.left, st, report)]
-        values.extend(self._eval(sub, st, report) for sub in node.comparators)
-        if report:
-            for op, left, right in zip(node.ops, values, values[1:]):
-                if isinstance(op, (ast.Is, ast.IsNot, ast.In, ast.NotIn)):
-                    continue
-                if (
-                    self.check_domains
-                    and left.domain is not None
-                    and right.domain is not None
-                    and left.domain != right.domain
-                ):
-                    self._flag(
-                        node,
-                        "REPRO010",
-                        f"comparison mixes unit domains: {left.domain.value} "
-                        f"vs {right.domain.value}",
-                    )
-                if (
-                    left.kind == "array"
-                    and right.kind == "array"
-                    and left.domain == Domain.DIST
-                    and right.domain == Domain.DIST
-                    and _disjoint_int_widths(left.dtypes, right.dtypes)
-                ):
-                    self._flag(
-                        node,
-                        "REPRO009",
-                        "comparison between distance arrays of different "
-                        f"integer widths ({_fmt_dtypes(left.dtypes)} vs "
-                        f"{_fmt_dtypes(right.dtypes)})",
-                    )
-        return AbstractValue(dtypes=dtype_set(DType.BOOL), kind="scalar")
-
     # -- calls ---------------------------------------------------------
-    def _eval_call(  # noqa: C901 - central dispatch
+    def _eval_call(
         self, node: ast.Call, st: _State, report: bool
     ) -> AbstractValue:
         argvals = [self._eval(arg, st, report) for arg in node.args]
@@ -1014,22 +882,6 @@ class _FunctionAnalyzer:
         else:
             self._eval(func, st, report)
             name = ""
-        # Keyword arguments are domain-checkable for *any* callee.
-        if report:
-            for kw in node.keywords:
-                expected = classify_param_name(kw.arg) if kw.arg else None
-                got = kwvals.get(kw.arg, UNKNOWN)
-                if (
-                    expected is not None
-                    and got.domain is not None
-                    and got.domain != expected
-                ):
-                    self._flag(
-                        kw.value,
-                        "REPRO011",
-                        f"keyword argument '{kw.arg}' expects a "
-                        f"{expected.value} but receives a {got.domain.value}",
-                    )
         # Arguments handed to another callable escape our responsibility.
         for value in [*argvals, *kwvals.values()]:
             self._escape(value, st)
@@ -1038,15 +890,13 @@ class _FunctionAnalyzer:
             result = self._method_call(node, name, base, argvals, kwvals, st, report)
             if result is not None:
                 return result
-        builtin = self._builtin_call(node, name, argvals, kwvals)
+        builtin = _builtin_call(name, argvals)
         if builtin is not None:
             return builtin
-        # A variable holding a dtype object used as a constructor: idx(x).
-        if isinstance(func, ast.Name):
-            fval = st.vars.get(func.id)
-            if fval is not None and fval.kind == "dtype":
-                return _cast(argvals[0] if argvals else UNKNOWN, fval.dtypes)
-        return self._summary_call(node, name, argvals, st, report)
+        kind = _RESOURCE_FACTORIES.get(name)
+        if kind is not None:
+            return self._alloc(kind, node, st)
+        return _MAPPED_TABLE if name == "PowCovTable" else UNKNOWN
 
     def _method_call(
         self,
@@ -1088,19 +938,9 @@ class _FunctionAnalyzer:
                 self._transition(
                     base, st, add=ResourceState.CLOSED, also=ResourceState.UNLINKED
                 )
-            return AbstractValue(kind="scalar")
+            return UNKNOWN
         if name == "astype":
-            target = kwvals.get("dtype") or (argvals[0] if argvals else UNKNOWN)
-            target_dtypes = target.dtypes if target.kind == "dtype" else None
-            if report and may_narrow(base.dtypes, target_dtypes):
-                self._flag(
-                    node,
-                    "REPRO009",
-                    f"astype may silently narrow {_fmt_dtypes(base.dtypes)} "
-                    f"to {_fmt_dtypes(target_dtypes)}; guard the cast or "
-                    "widen the target",
-                )
-            return replace(base, dtypes=target_dtypes, readonly=False)
+            return replace(base, readonly=False)
         if name in _ARRAY_WRITE_METHODS:
             if report and base.readonly:
                 self._flag(
@@ -1109,7 +949,7 @@ class _FunctionAnalyzer:
                     f".{name}() mutates a read-only array view (memmap "
                     "mode='r' / PowCovTable column / CSR accessor)",
                 )
-            return AbstractValue(kind="scalar")
+            return UNKNOWN
         if name == "copy":
             return replace(base, readonly=False, resources=frozenset())
         return None
@@ -1122,35 +962,6 @@ class _FunctionAnalyzer:
         kwvals: dict[str | None, AbstractValue],
         st: _State,
     ) -> AbstractValue:
-        dt = parse_dtype_token(name)
-        if dt is not None:  # np.uint64(x): a scalar cast
-            return _cast(argvals[0] if argvals else UNKNOWN, dtype_set(dt))
-        dtype_kw = kwvals.get("dtype")
-        kw_dtypes = dtype_kw.dtypes if dtype_kw is not None and dtype_kw.kind == "dtype" else None
-        if name in ("zeros", "ones", "empty", "full"):
-            dtypes = kw_dtypes or dtype_set(DType.FLOAT64)
-            return AbstractValue(dtypes=dtypes, kind="array")
-        if name in ("zeros_like", "ones_like", "empty_like", "full_like"):
-            src = argvals[0] if argvals else UNKNOWN
-            return AbstractValue(dtypes=kw_dtypes or src.dtypes, kind="array")
-        if name == "arange":
-            stop = argvals[1] if len(argvals) >= 2 else (argvals[0] if argvals else UNKNOWN)
-            ivl: Interval | None = None
-            if stop.ivl is not None and stop.ivl.hi is not None:
-                ivl = Interval(0, stop.ivl.hi - 1)
-            return AbstractValue(
-                dtypes=kw_dtypes or dtype_set(DType.INT64), kind="array", ivl=ivl
-            )
-        if name in ("asarray", "ascontiguousarray", "array", "copy"):
-            src = argvals[0] if argvals else UNKNOWN
-            return AbstractValue(
-                dtypes=kw_dtypes or src.dtypes,
-                kind="array",
-                domain=src.domain,
-                ivl=src.ivl,
-            )
-        if name == "searchsorted":
-            return AbstractValue(dtypes=dtype_set(DType.INT64), kind="array")
         if name == "memmap":
             value = self._alloc("memmap", node, st)
             mode = kwvals.get("mode")
@@ -1158,110 +969,15 @@ class _FunctionAnalyzer:
             return replace(value, kind="array", readonly=readonly)
         if name in ("minimum", "maximum", "where"):
             arrays = [a for a in argvals if a.kind == "array"]
-            result = UNKNOWN
-            for i, a in enumerate(arrays):
-                result = a if i == 0 else result.join(a)
-            return replace(result, kind="array") if arrays else UNKNOWN
-        if name in ("flatnonzero", "nonzero", "argsort", "argmin", "argmax"):
-            return AbstractValue(dtypes=dtype_set(DType.INT64), kind="array")
-        if name in ("sum", "min", "max", "count_nonzero", "dot"):
-            src = argvals[0] if argvals else UNKNOWN
-            return AbstractValue(dtypes=src.dtypes, kind="scalar", domain=src.domain)
+            if not arrays:
+                return UNKNOWN
+            result = arrays[0]
+            for a in arrays[1:]:
+                result = result.join(a)
+            return result
+        if name in _NUMPY_ARRAY_FACTORIES:
+            return _ARRAY
         return UNKNOWN
-
-    def _builtin_call(
-        self,
-        node: ast.Call,
-        name: str,
-        argvals: list[AbstractValue],
-        kwvals: dict[str | None, AbstractValue],
-    ) -> AbstractValue | None:
-        if name == "range":
-            stop = argvals[1] if len(argvals) >= 2 else (argvals[0] if argvals else UNKNOWN)
-            hi = stop.ivl.hi - 1 if stop.ivl is not None and stop.ivl.hi is not None else None
-            lo = 0 if len(argvals) < 2 else (
-                argvals[0].ivl.lo if argvals[0].ivl is not None else None
-            )
-            elem = AbstractValue(
-                dtypes=dtype_set(DType.PYINT), kind="scalar", ivl=Interval(lo, hi)
-            )
-            return AbstractValue(kind="iter", elem=elem)
-        if name == "len":
-            return AbstractValue(
-                dtypes=dtype_set(DType.PYINT), kind="scalar", ivl=Interval(0, None)
-            )
-        if name == "min" and len(argvals) >= 2:
-            his = [a.ivl.hi for a in argvals if a.ivl is not None and a.ivl.hi is not None]
-            los = [a.ivl.lo for a in argvals if a.ivl is not None]
-            lo = None
-            if len(los) == len(argvals) and all(v is not None for v in los):
-                lo = min(v for v in los if v is not None)
-            return AbstractValue(
-                dtypes=dtype_set(DType.PYINT),
-                kind="scalar",
-                ivl=Interval(lo, min(his) if his else None),
-            )
-        if name == "max" and len(argvals) >= 2:
-            los = [a.ivl.lo for a in argvals if a.ivl is not None and a.ivl.lo is not None]
-            his = [a.ivl.hi for a in argvals if a.ivl is not None]
-            hi = None
-            if len(his) == len(argvals) and all(v is not None for v in his):
-                hi = max(v for v in his if v is not None)
-            return AbstractValue(
-                dtypes=dtype_set(DType.PYINT),
-                kind="scalar",
-                ivl=Interval(max(los) if los else None, hi),
-            )
-        if name in ("int", "abs"):
-            src = argvals[0] if argvals else UNKNOWN
-            return AbstractValue(
-                dtypes=dtype_set(DType.PYINT),
-                kind="scalar",
-                domain=src.domain,
-                ivl=src.ivl if name == "int" else None,
-            )
-        if name == "float":
-            return AbstractValue(dtypes=dtype_set(DType.PYFLOAT), kind="scalar")
-        if name == "bool":
-            return AbstractValue(dtypes=dtype_set(DType.BOOL), kind="scalar")
-        if name in ("list", "sorted", "tuple", "set", "reversed"):
-            src = argvals[0] if argvals else UNKNOWN
-            return AbstractValue(kind="iter", elem=_elem_of(src))
-        if name in ("enumerate", "zip", "dict"):
-            return AbstractValue(kind="iter")
-        return None
-
-    def _summary_call(
-        self,
-        node: ast.Call,
-        name: str,
-        argvals: list[AbstractValue],
-        st: _State,
-        report: bool,
-    ) -> AbstractValue:
-        summary = self.summaries.get(name)
-        if summary is None:
-            return UNKNOWN
-        if report and summary.params:
-            for i, value in enumerate(argvals):
-                if i >= len(summary.params):
-                    break
-                expected = classify_param_name(summary.params[i])
-                if (
-                    expected is not None
-                    and value.domain is not None
-                    and value.domain != expected
-                ):
-                    self._flag(
-                        node.args[i],
-                        "REPRO011",
-                        f"argument {i + 1} to {name}() binds parameter "
-                        f"'{summary.params[i]}' (a {expected.value}) but "
-                        f"carries a {value.domain.value}",
-                    )
-        if summary.creates is not None:
-            return self._alloc(summary.creates, node, st)
-        return summary.returns
 
 
 class _Anchor:
@@ -1272,116 +988,48 @@ class _Anchor:
         self.col_offset = col
 
 
-_OP_NAMES: dict[type[ast.operator], str] = {
-    ast.Add: "+",
-    ast.Sub: "-",
-    ast.Mult: "*",
-    ast.Div: "/",
-    ast.FloorDiv: "//",
-    ast.Mod: "%",
-    ast.BitAnd: "&",
-    ast.BitOr: "|",
-    ast.BitXor: "^",
-    ast.LShift: "<<",
-    ast.RShift: ">>",
-}
-
-
 def _const_value(value: object) -> AbstractValue:
-    if isinstance(value, bool):
-        return AbstractValue(
-            dtypes=dtype_set(DType.BOOL), kind="scalar", ivl=Interval.point(int(value))
-        )
-    if isinstance(value, int):
-        return AbstractValue(
-            dtypes=dtype_set(DType.PYINT), kind="scalar", ivl=Interval.point(value)
-        )
-    if isinstance(value, float):
-        return AbstractValue(dtypes=dtype_set(DType.PYFLOAT), kind="scalar")
-    if isinstance(value, str):
-        return AbstractValue(kind="scalar", tag=f"const:{value}" if len(value) <= 8 else None)
-    return AbstractValue(kind="scalar")
-
-
-def _elem_of(value: AbstractValue) -> AbstractValue:
-    if value.elem is not None:
-        return value.elem
-    if value.kind == "array":
-        return AbstractValue(
-            dtypes=value.dtypes, kind="scalar", domain=value.domain, ivl=value.ivl
-        )
+    if isinstance(value, str) and len(value) <= 8:
+        return AbstractValue(tag=f"const:{value}")
     return UNKNOWN
 
 
-def _cast(src: AbstractValue, dtypes: frozenset[DType] | None) -> AbstractValue:
-    return AbstractValue(
-        dtypes=dtypes, kind="scalar" if src.kind != "array" else "array",
-        domain=src.domain, ivl=src.ivl,
-    )
+def _elem_of(value: AbstractValue) -> AbstractValue:
+    return value.elem if value.elem is not None else UNKNOWN
 
 
-def _promote_sets(
-    a: frozenset[DType] | None, b: frozenset[DType] | None
-) -> frozenset[DType] | None:
-    if a is None or b is None:
-        return None
-    out: set[DType] = set()
-    for x in a:
-        for y in b:
-            p = promote(x, y)
-            if p is None:
-                return None
-            out.add(p)
-    if len(out) > 4:
-        return None
-    return frozenset(out)
+def _binop(left: AbstractValue, right: AbstractValue) -> AbstractValue:
+    return _ARRAY if "array" in (left.kind, right.kind) else UNKNOWN
 
 
-def _disjoint_int_widths(
-    a: frozenset[DType] | None, b: frozenset[DType] | None
-) -> bool:
-    if not a or not b:
-        return False
-    if not all(d.is_fixed_width and d.is_integer for d in a):
-        return False
-    if not all(d.is_fixed_width and d.is_integer for d in b):
-        return False
-    return not ({d.width for d in a} & {d.width for d in b})
-
-
-def _fmt_dtypes(dtypes: frozenset[DType] | None) -> str:
-    if not dtypes:
-        return "unknown"
-    return "|".join(sorted(d.value for d in dtypes))
+def _builtin_call(name: str, argvals: list[AbstractValue]) -> AbstractValue | None:
+    if name == "range":
+        return AbstractValue(kind="iter", elem=UNKNOWN)
+    if name in ("list", "sorted", "tuple", "set", "reversed"):
+        src = argvals[0] if argvals else UNKNOWN
+        return AbstractValue(kind="iter", elem=_elem_of(src))
+    if name in ("enumerate", "zip", "dict"):
+        return AbstractValue(kind="iter")
+    return None
 
 
 # ---------------------------------------------------------------------------
-# Per-file driver, fingerprints, baseline, cache, SARIF
+# Per-file driver, fingerprints, SARIF, CLI
 # ---------------------------------------------------------------------------
 
 
 def analyze_source(
-    source: str,
-    path: Path,
-    summaries: dict[str, Summary] | None = None,
-    select: Iterable[str] | None = None,
+    source: str, path: Path, select: Iterable[str] | None = None
 ) -> list[LintFinding]:
     """Run the flow analyses over one file's source text."""
-    module = _module_key(path, source)
     tree = ast.parse(source, filename=str(path))
-    if summaries is None:
-        summaries = collect_summaries([tree])
     findings: list[LintFinding] = []
     try:
-        findings.extend(
-            _FunctionAnalyzer(module, str(path), summaries, tree.body, None).run()
-        )
+        findings.extend(_FunctionAnalyzer(str(path), tree.body, None).run())
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 findings.extend(
-                    _FunctionAnalyzer(
-                        module, str(path), summaries, node.body, node.args
-                    ).run()
+                    _FunctionAnalyzer(str(path), node.body, node.args).run()
                 )
     except RecursionError:  # pragma: no cover - pathological nesting
         return []
@@ -1404,7 +1052,8 @@ def finding_fingerprints(
     """Line-shift-robust fingerprints: hash of (module, rule, line *text*).
 
     A second identical finding on an identical line gets a ``-N`` suffix so
-    baselines stay stable under reordering but distinct under duplication.
+    fingerprints stay stable under reordering but distinct under
+    duplication (SARIF ``partialFingerprints``).
     """
     lines = source.splitlines()
     counts: dict[str, int] = {}
@@ -1420,102 +1069,19 @@ def finding_fingerprints(
     return fingerprints
 
 
-def load_baseline(path: Path) -> dict[str, str]:
-    """Parse a baseline file: ``<fingerprint>  <justification>`` per line."""
-    accepted: dict[str, str] = {}
-    if not path.exists():
-        return accepted
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(None, 1)
-        accepted[parts[0]] = parts[1] if len(parts) > 1 else ""
-    return accepted
-
-
-def _load_cache(path: Path, digest: str) -> dict[str, object]:
-    if not path.exists():
-        return {}
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    if (
-        not isinstance(data, dict)
-        or data.get("engine") != ENGINE_VERSION
-        or data.get("summaries") != digest
-    ):
-        return {}
-    files = data.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(path: Path, digest: str, files: dict[str, object]) -> None:
-    payload = {"engine": ENGINE_VERSION, "summaries": digest, "files": files}
-    try:
-        path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-    except OSError:  # pragma: no cover - read-only checkout
-        pass
-
-
 def analyze_paths(
-    paths: Sequence[Path],
-    select: Iterable[str] | None = None,
-    cache_path: Path | None = None,
+    paths: Sequence[Path], select: Iterable[str] | None = None
 ) -> list[tuple[LintFinding, str]]:
-    """Analyze every ``.py`` file under ``paths``; returns (finding, fp).
-
-    The summary table is collected over *all* files first so that calls
-    into other modules resolve; the per-file cache key is the source hash
-    plus the summary digest plus the engine version.
-    """
-    files = list(_iter_python_files(paths))
-    sources: dict[Path, str] = {}
-    trees: list[ast.Module] = []
-    for file in files:
+    """Analyze every ``.py`` file under ``paths``; returns (finding, fp)."""
+    results: list[tuple[LintFinding, str]] = []
+    for file in _iter_python_files(paths):
         source = file.read_text(encoding="utf-8")
-        sources[file] = source
         try:
-            trees.append(ast.parse(source, filename=str(file)))
+            findings = analyze_source(source, file, select=select)
         except SyntaxError:
             continue
-    summaries = collect_summaries(trees)
-    digest = summaries_digest(summaries)
-    cached = _load_cache(cache_path, digest) if cache_path is not None else {}
-    next_cache: dict[str, object] = {}
-    results: list[tuple[LintFinding, str]] = []
-    for file in files:
-        source = sources[file]
-        sha = hashlib.sha256(source.encode()).hexdigest()
-        key = file.as_posix()
-        entry = cached.get(key)
-        if isinstance(entry, dict) and entry.get("sha") == sha:
-            rows = entry.get("findings", [])
-            file_results = [
-                (LintFinding(str(file), r[0], r[1], r[2], r[3]), r[4])
-                for r in rows  # type: ignore[index, misc]
-            ]
-        else:
-            module = _module_key(file, source)
-            try:
-                findings = analyze_source(source, file, summaries=summaries)
-            except SyntaxError:
-                findings = []
-            fingerprints = finding_fingerprints(findings, source, module)
-            file_results = list(zip(findings, fingerprints))
-        next_cache[key] = {
-            "sha": sha,
-            "findings": [
-                [f.line, f.col, f.rule, f.message, fp] for f, fp in file_results
-            ],
-        }
-        results.extend(file_results)
-    if cache_path is not None:
-        _save_cache(cache_path, digest, next_cache)
-    if select is not None:
-        selected = frozenset(select)
-        results = [(f, fp) for f, fp in results if f.rule in selected]
+        module = _module_key(file, source)
+        results.extend(zip(findings, finding_fingerprints(findings, source, module)))
     results.sort(key=lambda pair: (pair[0].path, pair[0].line, pair[0].col, pair[0].rule))
     return results
 
@@ -1531,7 +1097,6 @@ def write_sarif(results: Sequence[tuple[LintFinding, str]], out: Path) -> None:
                     "driver": {
                         "name": "repro-flow",
                         "informationUri": "docs/ANALYSIS.md",
-                        "version": str(ENGINE_VERSION),
                         "rules": [
                             {
                                 "id": rule,
@@ -1572,7 +1137,8 @@ def write_sarif(results: Sequence[tuple[LintFinding, str]], out: Path) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.analysis flow",
-        description="Flow-sensitive dataflow analyses (REPRO009-REPRO013).",
+        description="Flow-sensitive resource-lifecycle analyses "
+        f"({', '.join(FLOW_RULES)}).",
     )
     parser.add_argument(
         "paths",
@@ -1592,26 +1158,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--sarif", type=Path, default=None, help="write SARIF 2.1.0 to this path"
     )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=DEFAULT_BASELINE,
-        help=f"baseline file of accepted findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline to accept every current finding",
-    )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        default=DEFAULT_CACHE,
-        help=f"per-file result cache (default: {DEFAULT_CACHE})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -1628,34 +1174,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown flow rule id(s): {', '.join(unknown)}")
 
-    cache_path = None if args.no_cache else args.cache
-    results = analyze_paths(paths, select=args.select, cache_path=cache_path)
-    baseline = load_baseline(args.baseline)
-
-    if args.write_baseline:
-        lines = [
-            "# repro-flow baseline: accepted findings, one per line as",
-            "#   <fingerprint>  <justification>",
-            "# Regenerate with: python -m repro.analysis flow --write-baseline",
-        ]
-        for finding, fingerprint in results:
-            note = baseline.get(fingerprint, "") or f"TODO justify: {finding.format()}"
-            lines.append(f"{fingerprint}  {note}")
-        args.baseline.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"wrote {len(results)} accepted finding(s) to {args.baseline}")
-        return 0
-
-    fresh = [(f, fp) for f, fp in results if fp not in baseline]
+    results = analyze_paths(paths, select=args.select)
     if args.sarif is not None:
-        write_sarif(fresh, args.sarif)
-    for finding, _ in fresh:
+        write_sarif(results, args.sarif)
+    for finding, _ in results:
         print(finding.format())
-    suppressed = len(results) - len(fresh)
-    if fresh:
-        print(f"{len(fresh)} finding(s) ({suppressed} baselined)")
+    if results:
+        print(f"{len(results)} finding(s)")
         return 1
-    if suppressed:
-        print(f"clean ({suppressed} baselined finding(s))")
     return 0
 
 

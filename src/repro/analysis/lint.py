@@ -3,9 +3,9 @@
 The generic linters (ruff, mypy) cannot see the package's *semantic*
 conventions: which arrays are immutable, which module owns bitmask
 construction, which loops are allowed to be scalar.  This module encodes
-those conventions as ten mechanical rules over the Python AST (the
-flow-sensitive rules REPRO009-REPRO013 share this catalog but live in
-:mod:`repro.analysis.flow`):
+those conventions as nine mechanical rules over the Python AST (the
+flow-sensitive resource-lifecycle rules REPRO012/REPRO013 share this
+catalog but live in :mod:`repro.analysis.flow`):
 
 ``REPRO000``
     No bare ``# noqa``: suppression comments must name the rule code(s)
@@ -34,9 +34,6 @@ flow-sensitive rules REPRO009-REPRO013 share this catalog but live in
     ``oracle.query`` calls inside loops are confined to the designated
     fallback (``ScalarLoopExecutor``).  Per-*row* reduction
     loops (e.g. the median estimator) do not match the rule.
-``REPRO005``
-    Public functions and methods in ``core/`` and ``engine/`` carry full
-    annotations (every parameter and the return type).
 ``REPRO006``
     No ``print`` in library code — the engine's instrumentation layer and
     the eval renderers return strings; only the CLI entry point
@@ -101,9 +98,11 @@ __all__ = [
 ]
 
 #: Rule id -> one-line summary (the full rationale lives in docs/DEVELOPING.md).
-#: REPRO000-008 are single-pass AST rules checked here; REPRO009-013 are
-#: flow-sensitive and live in :mod:`repro.analysis.flow` (same catalog so
-#: ``--list-rules``, noqa codes and SARIF share one namespace).
+#: REPRO000-004/006-008/014 are single-pass AST rules checked here;
+#: REPRO012/013 are flow-sensitive and live in :mod:`repro.analysis.flow`
+#: (same catalog so ``--list-rules``, noqa codes and SARIF share one
+#: namespace).  Retired ids (REPRO005 and the dtype and unit-domain
+#: rules) are not reused.
 RULES: dict[str, str] = {
     "REPRO000": "bare '# noqa' is forbidden; name the rule code(s) to suppress",
     "REPRO001": "CSR arrays are immutable outside repro.graph",
@@ -111,18 +110,11 @@ RULES: dict[str, str] = {
     "REPRO003": "no unseeded randomness in core/, engine/ or perf/",
     "REPRO004": "no per-query scalar loops in engine/executors.py "
     "outside ScalarLoopExecutor",
-    "REPRO005": "public functions in core/ and engine/ carry full annotations",
     "REPRO006": "no print in library code (use instrumentation/renderers)",
     "REPRO007": "no wall-clock time.time() in library code; use "
     "time.perf_counter() / time.process_time()",
     "REPRO008": "graph version lineage is written only by the delta API "
     "(repro.graph); mutate via apply_delta / apply_edges",
-    "REPRO009": "no silent dtype narrowing, shift overflow or cross-width "
-    "distance comparisons (flow-sensitive; repro.analysis.flow)",
-    "REPRO010": "no arithmetic mixing mask / vertex-id / distance / "
-    "landmark-index unit domains (flow-sensitive)",
-    "REPRO011": "call arguments carry the unit domain the parameter expects "
-    "(flow-sensitive)",
     "REPRO012": "shared-memory handles follow the close/unlink lifecycle: "
     "no use-after-close, no leak on any path (flow-sensitive)",
     "REPRO013": "memmap/PowCovTable handles are released and their "
@@ -133,11 +125,11 @@ RULES: dict[str, str] = {
 
 #: The rules this module's single-pass AST visitor implements.
 AST_RULES = frozenset(
-    {"REPRO000", "REPRO001", "REPRO002", "REPRO003", "REPRO004", "REPRO005",
+    {"REPRO000", "REPRO001", "REPRO002", "REPRO003", "REPRO004",
      "REPRO006", "REPRO007", "REPRO008", "REPRO014"}
 )
 #: The flow-sensitive rules implemented by :mod:`repro.analysis.flow`.
-FLOW_RULE_IDS = frozenset({"REPRO009", "REPRO010", "REPRO011", "REPRO012", "REPRO013"})
+FLOW_RULE_IDS = frozenset({"REPRO012", "REPRO013"})
 
 #: The immutable CSR attribute names of ``EdgeLabeledGraph``.
 _CSR_ATTRS = frozenset({"indptr", "neighbors", "edge_labels"})
@@ -149,8 +141,6 @@ _GRAPH_OWNER_PREFIX = "graph/"
 _MASK_OWNER = "graph/labelsets.py"
 #: Package subtrees whose determinism REPRO003 guards.
 _DETERMINISTIC_PREFIXES = ("core/", "engine/", "perf/")
-#: Package subtrees whose public API REPRO005 checks.
-_ANNOTATED_PREFIXES = ("core/", "engine/")
 #: The one executors.py class allowed to loop per query.
 _SCALAR_FALLBACK_CLASS = "ScalarLoopExecutor"
 #: The executor batch parameter and its query columns (REPRO004).
@@ -289,14 +279,12 @@ class _Visitor(ast.NodeVisitor):
         self._class_stack: list[str] = []
         self._loop_depth = 0
         self._main_guard_depth = 0
-        self._function_depth = 0
         # Rule applicability, resolved once per file.
         self.check_csr = not module.startswith(_GRAPH_OWNER_PREFIX)
         self.check_lineage = not module.startswith(_GRAPH_OWNER_PREFIX)
         self.check_masks = module != _MASK_OWNER
         self.check_random = module.startswith(_DETERMINISTIC_PREFIXES)
         self.check_loops = module == "engine/executors.py"
-        self.check_annotations = module.startswith(_ANNOTATED_PREFIXES)
         self.check_print = module not in _PRINT_ALLOWED
         self.check_kernel_imports = not module.startswith(_KERNEL_OWNER_PREFIX)
 
@@ -649,51 +637,6 @@ class _Visitor(ast.NodeVisitor):
         self.generic_visit(node)
         self._loop_depth -= 1
 
-    # -- REPRO005: public-API annotations ------------------------------
-    def _check_annotations(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        if not self.check_annotations or node.name.startswith("_"):
-            return
-        if self._function_depth > 0:
-            return  # nested functions are local helpers, not public API
-        if any(cls.startswith("_") for cls in self._class_stack):
-            return  # private helper classes are internal API
-        args = node.args
-        positional = args.posonlyargs + args.args + args.kwonlyargs
-        missing = [
-            arg.arg
-            for arg in positional
-            if arg.annotation is None and arg.arg not in ("self", "cls")
-        ]
-        if args.vararg is not None and args.vararg.annotation is None:
-            missing.append("*" + args.vararg.arg)
-        if args.kwarg is not None and args.kwarg.annotation is None:
-            missing.append("**" + args.kwarg.arg)
-        if missing:
-            self._flag(
-                node,
-                "REPRO005",
-                f"public function '{node.name}' has unannotated "
-                f"parameter(s): {', '.join(missing)}",
-            )
-        if node.returns is None:
-            self._flag(
-                node,
-                "REPRO005",
-                f"public function '{node.name}' has no return annotation",
-            )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_annotations(node)
-        self._function_depth += 1
-        self.generic_visit(node)
-        self._function_depth -= 1
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_annotations(node)
-        self._function_depth += 1
-        self.generic_visit(node)
-        self._function_depth -= 1
-
 
 def lint_source(
     source: str, path: Path, select: Iterable[str] | None = None
@@ -753,8 +696,8 @@ def lint_paths(
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.analysis.lint",
-        description="Project-specific AST lint rules (REPRO000-REPRO008); "
-        "the flow-sensitive rules run via 'python -m repro.analysis flow'.",
+        description="Project-specific AST lint rules; the flow-sensitive "
+        "rules run via 'python -m repro.analysis flow'.",
     )
     parser.add_argument(
         "paths",

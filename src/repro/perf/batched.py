@@ -172,12 +172,11 @@ def batched_constrained_bfs(
     # while no row has died yet (``identity``) the indirection is skipped.
     # The ``astype(idx)`` casts below are guarded narrowings: ``idx`` is
     # int32 only when ``num_sources * n < 2**31``, so every row id, vertex
-    # id and flat index provably fits.  REPRO009 cannot see the guard
-    # (the dtype joins to int32|int64 after the branch), hence the noqas.
-    row_ids = rows64.astype(idx)  # noqa: REPRO009
+    # id and flat index provably fits.
+    row_ids = rows64.astype(idx)
     identity = True
     frontier_rows = row_ids
-    frontier_vertices = source_arr.astype(idx)  # noqa: REPRO009
+    frontier_vertices = source_arr.astype(idx)
     # Scatter-stamp dedup scratch: ``claim[flat]`` holds the stamp of the
     # last arc that reached that (row, vertex) pair; an arc whose stamp
     # survives the read-back is the unique winner for its pair.  One
@@ -303,9 +302,7 @@ def batched_constrained_bfs(
                 lab_pad = lab_pad[live]
             # Guarded narrowing: searchsorted returns positions < live.size
             # <= num_sources, which fits ``idx`` by the 2**31 guard above.
-            arc_rows = np.searchsorted(live, arc_rows).astype(  # noqa: REPRO009
-                idx, copy=False
-            )
+            arc_rows = np.searchsorted(live, arc_rows).astype(idx, copy=False)
         frontier_rows = arc_rows
         frontier_vertices = targets
     return dist

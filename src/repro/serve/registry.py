@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Any
 from ..core.types import DistanceOracle
 from ..engine import QuerySession
 from ..graph.delta import GraphDelta, apply_delta
+from ..graph.fingerprint import graph_fingerprint
 from ..graph.labeled_graph import EdgeLabeledGraph
 from ..obs.metrics import registry as _metrics_registry
 
@@ -109,13 +110,27 @@ class GraphRegistry:
 
         ``graph`` may be omitted when ``oracles`` is given (it is taken
         from the first oracle).  Registering an existing name replaces
-        its entry and drops its sessions.
+        its entry and drops its sessions.  Raises :class:`ValueError` for
+        an oracle that is not built or was built over a different graph
+        (by fingerprint), so a bad index fails here rather than at its
+        first query.
         """
         oracles = dict(oracles or {})
         if graph is None:
             if not oracles:
                 raise ValueError("register() needs a graph or oracles")
             graph = next(iter(oracles.values())).graph
+        for kind, oracle in oracles.items():
+            if not getattr(oracle, "_built", True):
+                raise ValueError(
+                    f"oracle {kind!r} for graph {name!r} is not built; "
+                    "call build() before registering it"
+                )
+            if graph_fingerprint(oracle.graph) != graph_fingerprint(graph):
+                raise ValueError(
+                    f"oracle {kind!r} was built over a different graph than "
+                    f"{name!r} (fingerprint mismatch)"
+                )
         with self._lock:
             self._entries[name] = _GraphEntry(graph=graph, oracles=oracles)
             self._drop_sessions(name)

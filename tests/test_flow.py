@@ -3,8 +3,8 @@
 Covers four layers: the fixture corpus in ``tests/lint_fixtures/`` (one
 clean + one violation file per flow rule, mirroring test_lint.py), the CFG
 builder and fixpoint engine on synthetic programs (including
-hypothesis-generated control flow), the baseline/fingerprint/cache
-machinery, and the ``python -m repro.analysis flow`` CLI end to end.
+hypothesis-generated control flow), the SARIF fingerprints, and the
+``python -m repro.analysis flow`` CLI end to end.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.analysis.flow import (
     analyze_source,
     build_cfg,
     finding_fingerprints,
-    load_baseline,
     main,
 )
 
@@ -31,19 +30,18 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 
-#: rule id -> (violation fixture, exact {(line, col), ...} of its findings)
+#: rule id -> (violation fixture, exact {(line, col), ...} of its findings).
+#: REPRO012's (34, 13), (44, 17) and (46, 17) are the two historic
+#: perf/shm.py leak-on-exception shapes (_export_array, _attach_array).
 VIOLATIONS = {
-    "REPRO009": ("repro009_violation.py", {(13, 12), (20, 18), (27, 12), (32, 5)}),
-    "REPRO010": ("repro010_violation.py", {(11, 12), (15, 12)}),
-    "REPRO011": ("repro011_violation.py", {(12, 35), (16, 48)}),
-    "REPRO012": ("repro012_violation.py", {(10, 13), (18, 12), (23, 5)}),
+    "REPRO012": (
+        "repro012_violation.py",
+        {(10, 13), (18, 12), (23, 5), (34, 13), (44, 17), (46, 17)},
+    ),
     "REPRO013": ("repro013_violation.py", {(13, 5), (18, 12), (24, 5)}),
 }
 
 CLEAN = {
-    "REPRO009": "repro009_clean.py",
-    "REPRO010": "repro010_clean.py",
-    "REPRO011": "repro011_clean.py",
     "REPRO012": "repro012_clean.py",
     "REPRO013": "repro013_clean.py",
 }
@@ -207,72 +205,10 @@ def test_engine_terminates_on_generated_control_flow(stmts):
     blocks, _, _, _ = _cfg_of(source)
     n = len(blocks)
     assert all(0 <= s < n for b in blocks for s in b.succs + b.exc_succs)
-    # The widening fixpoint must converge without findings: the generated
-    # programs only do unit-free integer arithmetic.
+    # The fixpoint must converge without findings: the generated programs
+    # allocate no resources.
     findings = analyze_source(source, Path("gen.py"))
     assert findings == []
-
-
-def test_widening_handles_unbounded_counter():
-    source = textwrap.dedent(
-        """
-        def f(n: int) -> int:
-            total = 0
-            while total < n:
-                total = total + 1
-            return total
-        """
-    )
-    assert analyze_source(source, Path("gen.py")) == []
-
-
-def test_dtype_join_reports_possible_narrowing():
-    # After the branch join `idx` is {int32, int64}.  The analyzer cannot
-    # see that source and target widths are correlated, so the cast is a
-    # *may*-narrow finding — the exact scenario the inline noqas and the
-    # baseline entry in perf/batched.py document.
-    source = textwrap.dedent(
-        """
-        import numpy as np
-
-        def f(wide: bool) -> "np.ndarray":
-            idx = np.int64 if wide else np.int32
-            rows = np.zeros(4, dtype=idx)
-            return rows.astype(idx)
-        """
-    )
-    findings = analyze_source(source, Path("gen.py"))
-    assert [f.rule for f in findings] == ["REPRO009"]
-    assert "int32|int64" in findings[0].message
-
-
-def test_unknown_dtype_never_fires():
-    # No information is not a finding: casting an array of unknown dtype
-    # is silent, by design (the engine only reports when it can point at a
-    # wider source width).
-    source = textwrap.dedent(
-        """
-        import numpy as np
-
-        def f(rows) -> "np.ndarray":
-            return rows.astype(np.int32)
-        """
-    )
-    assert analyze_source(source, Path("gen.py")) == []
-
-
-def test_provable_narrowing_still_fires_after_join():
-    source = textwrap.dedent(
-        """
-        import numpy as np
-
-        def f(wide: bool) -> "np.ndarray":
-            rows = np.zeros(4, dtype=np.int64)
-            return rows.astype(np.int16)
-        """
-    )
-    findings = analyze_source(source, Path("gen.py"))
-    assert [f.rule for f in findings] == ["REPRO009"]
 
 
 def test_container_escape_suppresses_leak():
@@ -299,29 +235,31 @@ def test_container_escape_suppresses_leak():
 def test_coded_noqa_suppresses_flow_finding():
     source = textwrap.dedent(
         """
-        import numpy as np
+        from multiprocessing import shared_memory
 
-        def f() -> "np.ndarray":
-            rows = np.zeros(4, dtype=np.int64)
-            return rows.astype(np.int32)  # noqa: REPRO009
+        def f(nbytes: int) -> int:
+            block = shared_memory.SharedMemory(create=True, size=nbytes)  # noqa: REPRO012
+            return block.size
         """
     )
     assert analyze_source(source, Path("gen.py")) == []
+    unsuppressed = source.replace("  # noqa: REPRO012", "")
+    assert {f.rule for f in analyze_source(unsuppressed, Path("gen.py"))} == {"REPRO012"}
 
 
 def test_select_filters_rules():
     path = FIXTURES / "repro012_violation.py"
-    assert _analyze(path, select=["REPRO009"]) == []
+    assert _analyze(path, select=["REPRO013"]) == []
     assert {f.rule for f in _analyze(path, select=["REPRO012"])} == {"REPRO012"}
 
 
 # ---------------------------------------------------------------------------
-# Fingerprints and baseline
+# Fingerprints
 # ---------------------------------------------------------------------------
 
 
 def test_fingerprints_survive_line_shifts():
-    path = FIXTURES / "repro010_violation.py"
+    path = FIXTURES / "repro012_violation.py"
     source = path.read_text(encoding="utf-8")
     before = finding_fingerprints(_analyze(path), source, "perf/scratch.py")
     shifted = "# a new leading comment\n\n" + source
@@ -331,29 +269,10 @@ def test_fingerprints_survive_line_shifts():
     assert len(set(before)) == len(before)  # distinct per finding
 
 
-def test_load_baseline_parses_comments_and_justifications(tmp_path):
-    baseline = tmp_path / "baseline.txt"
-    baseline.write_text(
-        "# comment line\n"
-        "\n"
-        "deadbeef00000000  known quirk in chunk sizing\n"
-        "cafebabe00000000  TODO justify\n",
-        encoding="utf-8",
-    )
-    parsed = load_baseline(baseline)
-    assert parsed == {
-        "deadbeef00000000": "known quirk in chunk sizing",
-        "cafebabe00000000": "TODO justify",
-    }
-    assert load_baseline(tmp_path / "missing.txt") == {}
-
-
-def test_src_tree_is_flow_clean_modulo_baseline():
-    # The same gate CI runs: every finding on src/repro must be baselined.
+def test_src_tree_is_flow_clean():
+    # The same gate CI runs: no finding anywhere under src/repro.
     results = analyze_paths([SRC])
-    baseline = load_baseline(REPO / "flow-baseline.txt")
-    fresh = [f.format() for f, fp in results if fp not in baseline]
-    assert fresh == [], "\n".join(fresh)
+    assert results == [], "\n".join(f.format() for f, _ in results)
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +280,15 @@ def test_src_tree_is_flow_clean_modulo_baseline():
 # ---------------------------------------------------------------------------
 
 
-def test_cli_exit_codes_and_output(capsys, tmp_path):
-    bad = str(FIXTURES / "repro009_violation.py")
-    empty = str(tmp_path / "baseline.txt")
-    assert main([bad, "--no-cache", "--baseline", empty]) == 1
+def test_cli_exit_codes_and_output(capsys):
+    bad = str(FIXTURES / "repro012_violation.py")
+    assert main([bad]) == 1
     out = capsys.readouterr().out
-    assert "REPRO009" in out
-    assert "finding(s)" in out
+    assert "REPRO012" in out
+    assert "6 finding(s)" in out
 
-    good = str(FIXTURES / "repro009_clean.py")
-    assert main([good, "--no-cache", "--baseline", empty]) == 0
+    good = str(FIXTURES / "repro012_clean.py")
+    assert main([good]) == 0
     assert capsys.readouterr().out == ""
 
 
@@ -381,12 +299,11 @@ def test_cli_list_rules(capsys):
         assert rule in out
 
 
-def test_cli_select(capsys, tmp_path):
+def test_cli_select(capsys):
     bad = str(FIXTURES / "repro012_violation.py")
-    empty = str(tmp_path / "baseline.txt")
-    assert main([bad, "--no-cache", "--baseline", empty, "--select", "repro009"]) == 0
+    assert main([bad, "--select", "repro013"]) == 0
     capsys.readouterr()
-    assert main([bad, "--no-cache", "--baseline", empty, "--select", "REPRO012"]) == 1
+    assert main([bad, "--select", "REPRO012"]) == 1
 
 
 def test_cli_rejects_unknown_rule():
@@ -400,55 +317,18 @@ def test_cli_rejects_missing_path():
 
 
 def test_cli_sarif_output(capsys, tmp_path):
-    bad = str(FIXTURES / "repro011_violation.py")
+    bad = str(FIXTURES / "repro013_violation.py")
     sarif_path = tmp_path / "out.sarif"
-    empty = str(tmp_path / "baseline.txt")
-    assert main([bad, "--no-cache", "--baseline", empty, "--sarif", str(sarif_path)]) == 1
+    assert main([bad, "--sarif", str(sarif_path)]) == 1
     capsys.readouterr()
     sarif = json.loads(sarif_path.read_text(encoding="utf-8"))
     assert sarif["version"] == "2.1.0"
     (run,) = sarif["runs"]
     assert run["tool"]["driver"]["name"] == "repro-flow"
     assert {r["id"] for r in run["tool"]["driver"]["rules"]} == set(FLOW_RULES)
-    assert len(run["results"]) == 2
+    assert len(run["results"]) == 3
     for result in run["results"]:
-        assert result["ruleId"] == "REPRO011"
+        assert result["ruleId"] == "REPRO013"
         assert result["partialFingerprints"]["reproFlow/v1"]
         region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] in {12, 16}
-
-
-def test_cli_write_baseline_roundtrip(capsys, tmp_path):
-    bad = str(FIXTURES / "repro013_violation.py")
-    baseline = tmp_path / "baseline.txt"
-    assert main([bad, "--no-cache", "--baseline", str(baseline), "--write-baseline"]) == 0
-    capsys.readouterr()
-    text = baseline.read_text(encoding="utf-8")
-    assert "TODO justify:" in text
-    # With every finding baselined the same invocation now passes...
-    assert main([bad, "--no-cache", "--baseline", str(baseline)]) == 0
-    assert "baselined finding(s)" in capsys.readouterr().out
-    # ...and hand-written justifications survive a rewrite.
-    fingerprint = next(
-        line.split()[0] for line in text.splitlines() if not line.startswith("#")
-    )
-    baseline.write_text(f"{fingerprint}  reviewed: intentional fixture\n", "utf-8")
-    assert main([bad, "--no-cache", "--baseline", str(baseline), "--write-baseline"]) == 0
-    capsys.readouterr()
-    assert "reviewed: intentional fixture" in baseline.read_text(encoding="utf-8")
-
-
-def test_cli_cache_reuses_results(capsys, tmp_path):
-    bad = str(FIXTURES / "repro010_violation.py")
-    cache = tmp_path / "cache.json"
-    empty = str(tmp_path / "baseline.txt")
-    assert main([bad, "--cache", str(cache), "--baseline", empty]) == 1
-    first = capsys.readouterr().out
-    payload = json.loads(cache.read_text(encoding="utf-8"))
-    assert payload["files"]
-    # Second run hits the cache and reports identical findings.
-    assert main([bad, "--cache", str(cache), "--baseline", empty]) == 1
-    assert capsys.readouterr().out == first
-    # A corrupt cache is discarded, not fatal.
-    cache.write_text("{not json", encoding="utf-8")
-    assert main([bad, "--cache", str(cache), "--baseline", empty]) == 1
+        assert region["startLine"] in {13, 18, 24}

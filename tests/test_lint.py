@@ -26,14 +26,13 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: rule id -> (violation fixture, minimum expected findings of that rule)
-#: The flow rules (REPRO009-013) have their own corpus in test_flow.py.
+#: The flow rules (REPRO012/013) have their own corpus in test_flow.py.
 VIOLATIONS = {
     "REPRO000": ("repro000_violation.py", 2),
     "REPRO001": ("repro001_violation.py", 3),
     "REPRO002": ("repro002_violation.py", 2),
     "REPRO003": ("repro003_violation.py", 4),
     "REPRO004": ("repro004_violation.py", 2),
-    "REPRO005": ("repro005_violation.py", 2),
     "REPRO006": ("repro006_violation.py", 1),
     "REPRO007": ("repro007_violation.py", 4),
     "REPRO008": ("repro008_violation.py", 5),
@@ -46,7 +45,6 @@ CLEAN = {
     "REPRO002": "repro002_clean.py",
     "REPRO003": "repro003_clean.py",
     "REPRO004": "repro004_clean.py",
-    "REPRO005": "repro005_clean.py",
     "REPRO006": "repro006_clean.py",
     "REPRO007": "repro007_clean.py",
     "REPRO008": "repro008_clean.py",
@@ -112,7 +110,7 @@ def test_bare_noqa_no_longer_suppresses(tmp_path):
 
 def test_cli_rejects_flow_rule_select():
     with pytest.raises(SystemExit):
-        main([str(FIXTURES), "--select", "REPRO009"])
+        main([str(FIXTURES), "--select", "REPRO012"])
 
 
 def test_lint_module_pin_controls_identity(tmp_path):

@@ -2,6 +2,7 @@
 
 These pin the serving-layer state machine rather than the HTTP surface:
 
+* ``register`` rejects an unbuilt oracle, or one built over another graph;
 * warm-session LRU eviction under ``max_sessions``;
 * store-backed loads reject an index whose embedded fingerprint does not
   match the registered graph (a renamed/stale file never silently serves);
@@ -18,7 +19,7 @@ import time
 
 import pytest
 
-from repro.core import PowCovIndex
+from repro.core import ChromLandIndex, PowCovIndex
 from repro.graph.delta import GraphDelta
 from repro.graph.labeled_graph import EdgeLabeledGraph
 from repro.serve import GraphRegistry, UnknownGraphError, UnknownOracleError
@@ -70,6 +71,32 @@ class TestRegistration:
         assert registry.session_keys() == [("g", "powcov")]
         registry.register("g", graph, {"powcov": oracle})
         assert registry.session_keys() == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda g: PowCovIndex(g, [0, 1, 2]),
+            lambda g: ChromLandIndex(g, [0, 5], [0, 0]),
+        ],
+        ids=["powcov", "chromland"],
+    )
+    def test_register_rejects_unbuilt_oracle(self, graph, make):
+        # Unbuilt, the first session() would raise "call build() before
+        # querying" and the server would answer HTTP 500.
+        registry = GraphRegistry()
+        with pytest.raises(ValueError, match="not built"):
+            registry.register("g", graph, {"oracle": make(graph)})
+        assert registry.describe() == []
+
+    def test_register_rejects_oracle_of_another_graph(self, oracle):
+        registry = GraphRegistry()
+        with pytest.raises(ValueError, match="fingerprint mismatch"):
+            registry.register("g", path_graph(n=7), {"powcov": oracle})
+        assert registry.describe() == []
+        # The same oracle registers against its own graph (or none given).
+        registry.register("g", oracle.graph, {"powcov": oracle})
+        registry.register("h", oracles={"powcov": oracle})
+        assert [e["name"] for e in registry.describe()] == ["g", "h"]
 
 
 class TestSessionLRU:
