@@ -1,6 +1,6 @@
 """Benchmark: compiled kernel backends vs. the numpy reference.
 
-Measures the three :mod:`repro.kernels` loops on the Table-3 stand-in
+Measures the four :mod:`repro.kernels` loops on the Table-3 stand-in
 graphs, once per backend available in this environment:
 
 * the bit-parallel MS-BFS sweep (what the wave builder spends its time
@@ -9,6 +9,7 @@ graphs, once per backend available in this environment:
 * the end-to-end wave build (``traverse_powerset_waves``) — recorded but
   not enforced: per-mask Python bookkeeping bounds the whole-build gain
   (Amdahl), which is exactly why the JSON rows keep both numbers;
+* the Theorem 1 PowCov table lookup for one 256-query body — recorded;
 * the ChromLand auxiliary-graph Dijkstra — recorded.
 
 Warm-up (the first call, which for numba includes JIT compilation and
@@ -164,6 +165,36 @@ def test_aux_dijkstra_kernel(benchmark, backend_name):
     benchmark.extra_info["kernel"] = backend_name
     benchmark.extra_info["k"] = k
     benchmark.extra_info["queries_per_call"] = g
+    benchmark.extra_info["numpy_us_per_call"] = numpy_seconds / calls * 1e6
+    benchmark.extra_info["native_us_per_call"] = native_seconds / calls * 1e6
+    benchmark.extra_info["speedup"] = numpy_seconds / native_seconds
+    benchmark.pedantic(lambda: run(backend_name), rounds=2, iterations=1)
+
+
+@pytest.mark.parametrize("backend_name", COMPILED or ["numpy"])
+def test_powcov_lookup_kernel(benchmark, biogrid, biogrid_powcov, backend_name):
+    """Theorem 1 lookup for one 256-query body (both endpoints of every
+    query, each under its own mask) on the bench PowCov table: recorded."""
+    queries, calls = 256, 20
+    rng = np.random.default_rng(BENCH_SEED)
+    table = biogrid_powcov.forward
+    vertices = rng.integers(0, biogrid.num_vertices, size=2 * queries)
+    masks = np.tile(rng.integers(1, 1 << biogrid.num_labels, size=queries), 2)
+
+    def run(kernel):
+        out = None
+        for _ in range(calls):
+            out = table.lookup_many(vertices, masks, kernel)
+        return out
+
+    want = run("numpy")
+    assert run(backend_name).tobytes() == want.tobytes()
+    _, numpy_seconds = _timed(lambda: run("numpy"))
+    _, native_seconds = _timed(lambda: run(backend_name))
+    benchmark.extra_info["kernel"] = backend_name
+    benchmark.extra_info["k"] = table.num_landmarks
+    benchmark.extra_info["entries"] = len(table)
+    benchmark.extra_info["endpoints_per_call"] = len(vertices)
     benchmark.extra_info["numpy_us_per_call"] = numpy_seconds / calls * 1e6
     benchmark.extra_info["native_us_per_call"] = native_seconds / calls * 1e6
     benchmark.extra_info["speedup"] = numpy_seconds / native_seconds

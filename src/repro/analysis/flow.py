@@ -939,8 +939,6 @@ class _FunctionAnalyzer:
                     base, st, add=ResourceState.CLOSED, also=ResourceState.UNLINKED
                 )
             return UNKNOWN
-        if name == "astype":
-            return replace(base, readonly=False)
         if name in _ARRAY_WRITE_METHODS:
             if report and base.readonly:
                 self._flag(
@@ -950,7 +948,8 @@ class _FunctionAnalyzer:
                     "mode='r' / PowCovTable column / CSR accessor)",
                 )
             return UNKNOWN
-        if name == "copy":
+        if name in ("copy", "astype"):
+            # A fresh array: writable, and not a handle on the base's map.
             return replace(base, readonly=False, resources=frozenset())
         return None
 
@@ -968,13 +967,8 @@ class _FunctionAnalyzer:
             readonly = mode is not None and mode.tag == "const:r"
             return replace(value, kind="array", readonly=readonly)
         if name in ("minimum", "maximum", "where"):
-            arrays = [a for a in argvals if a.kind == "array"]
-            if not arrays:
-                return UNKNOWN
-            result = arrays[0]
-            for a in arrays[1:]:
-                result = result.join(a)
-            return result
+            # The result is a fresh array, whatever its inputs were.
+            return _ARRAY if any(a.kind == "array" for a in argvals) else UNKNOWN
         if name in _NUMPY_ARRAY_FACTORIES:
             return _ARRAY
         return UNKNOWN

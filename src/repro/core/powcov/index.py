@@ -26,7 +26,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ...graph.labeled_graph import EdgeLabeledGraph
-from ...kernels import kernel_name
+from ...kernels import KernelBackend, kernel_name, resolve_kernel
 from ...obs.trace import span
 from ...perf.parallel import ParallelConfig, resolve_parallel, run_tasks
 from ..types import INF, DistanceOracle, QueryAnswer
@@ -248,14 +248,17 @@ class PowCovIndex(DistanceOracle):
         vertices: np.ndarray,
         masks: "np.ndarray | int",
         direction: str = "from-landmark",
+        kernel: "str | KernelBackend | None" = None,
     ) -> np.ndarray:
         """:meth:`landmark_distance` for every vertex × every landmark.
 
         ``masks`` holds one constraint mask per vertex (a plain int applies
         to all of them).  A ``(len(vertices), k)`` float64 matrix (``inf``
-        = unreachable), shared by the scalar query and the batch executor.
+        = unreachable), shared by the scalar query and the batch executor;
+        ``kernel`` is the :mod:`repro.kernels` backend that runs the
+        lookup (bit-identical on every backend).
         """
-        rows = self._table(direction).lookup_many(vertices, masks)
+        rows = self._table(direction).lookup_many(vertices, masks, kernel)
         slots = self._landmark_slot[vertices]
         own = slots >= 0
         if own.any():
@@ -283,11 +286,14 @@ class PowCovIndex(DistanceOracle):
         if label_mask == 0:
             return QueryAnswer(estimate=INF, lower=INF, upper=INF)
         ends = np.array([source, target])
-        x_to_s, x_to_t = self.landmark_rows(ends, label_mask).tolist()
+        kernel = resolve_kernel(None)
+        x_to_s, x_to_t = self.landmark_rows(
+            ends, label_mask, kernel=kernel
+        ).tolist()
         s_to_x, t_to_x = x_to_s, x_to_t
         if self.reverse is not None:
             s_to_x, t_to_x = self.landmark_rows(
-                ends, label_mask, "to-landmark"
+                ends, label_mask, "to-landmark", kernel
             ).tolist()
         upper = INF
         lower = 0.0

@@ -12,12 +12,15 @@ keeps exactly that and nothing else, as three parallel columns:
 * ``mask`` — int64 label-set bitmasks, parallel to ``dist``.
 
 The same table serves the scalar query, the batch executor, the auditor,
-incremental repair and both persistence formats.  Its columns may be
-plain arrays or read-only ``np.memmap`` sections of a store file; nothing
-here ever writes into a column.  Landmark ``i``'s entries are the
-contiguous block ``offsets[i*n] : offsets[(i+1)*n]``, so a build
-concatenates per-landmark blocks in landmark order and a repair swaps
-whole blocks into fresh arrays (:meth:`PowCovTable.replace_blocks`).
+incremental repair and both persistence formats.  Theorem 1 lookups
+(:meth:`PowCovTable.lookup_many`) are one call of the
+:mod:`repro.kernels` ``powcov_lookup`` kernel, which walks each pair's
+run and stops at its first stored subset.  The columns may be plain
+arrays or read-only ``np.memmap`` sections of a store file; neither this
+module nor the kernels ever copy or write a column.  Landmark ``i``'s
+entries are the contiguous block ``offsets[i*n] : offsets[(i+1)*n]``, so
+a build concatenates per-landmark blocks in landmark order and a repair
+swaps whole blocks into fresh arrays (:meth:`PowCovTable.replace_blocks`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..types import INF
+from ...kernels import KernelBackend, resolve_kernel
 from .spminimal import LandmarkSPMinimal
 
 __all__ = ["PowCovTable", "TableBlock", "block_from_result"]
@@ -62,12 +65,6 @@ def block_from_result(
     )
 
 
-#: Up to this many (vertex, landmark) cells :meth:`PowCovTable.lookup_many`
-#: scans in Python: the vectorized sweep pays ~15 numpy calls up front and
-#: wins only beyond ~40 cells (measured on biogrid-sim and youtube-sim).
-_SCAN_CELLS = 32
-
-
 def _offsets_from_counts(counts: np.ndarray) -> np.ndarray:
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -77,9 +74,7 @@ def _offsets_from_counts(counts: np.ndarray) -> np.ndarray:
 class PowCovTable:
     """One direction's SP-minimal entries as a pair-indexed CSR."""
 
-    __slots__ = (
-        "offsets", "dist", "mask", "num_landmarks", "num_vertices", "_block_starts"
-    )
+    __slots__ = ("offsets", "dist", "mask", "num_landmarks", "num_vertices")
 
     def __init__(
         self,
@@ -98,8 +93,6 @@ class PowCovTable:
         self.mask = mask
         self.num_landmarks = num_landmarks
         self.num_vertices = num_vertices
-        #: pair index of ``(i, 0)`` for every landmark index ``i``.
-        self._block_starts = np.arange(num_landmarks, dtype=np.int64) * num_vertices
 
     @classmethod
     def from_blocks(
@@ -212,58 +205,27 @@ class PowCovTable:
     # ------------------------------------------------------------------
     # Theorem 1 lookups
     # ------------------------------------------------------------------
-    def _scan_rows(self, vertices: list[int], masks: list[int]) -> list[list[float]]:
-        """:meth:`lookup_many` as a Python scan that stops at each pair's
-        first stored subset (entries are distance-sorted)."""
-        offsets = memoryview(self.offsets)
-        dist = memoryview(self.dist)
-        mask = memoryview(self.mask)
-        starts = self._block_starts.tolist()
-        rows = []
-        for u, label_mask in zip(vertices, masks):
-            row = []
-            for cell in starts:
-                found = INF
-                for entry in range(offsets[cell + u], offsets[cell + u + 1]):
-                    stored = mask[entry]
-                    if stored & label_mask == stored:
-                        found = float(dist[entry])
-                        break
-                row.append(found)
-            rows.append(row)
-        return rows
-
     def lookup_many(
-        self, vertices: np.ndarray, masks: "np.ndarray | int"
+        self,
+        vertices: np.ndarray,
+        masks: "np.ndarray | int",
+        kernel: "str | KernelBackend | None" = None,
     ) -> np.ndarray:
-        """Exact ``d_C(x, u)`` for every vertex × every landmark in one sweep.
+        """Exact ``d_C(x, u)`` for every vertex × every landmark in one call.
 
         ``masks`` holds one constraint mask per vertex (a plain int applies
         to all of them).  Returns a ``(len(vertices), k)`` float64 matrix
         with ``inf`` where no stored label set is a subset of the row's
         mask (Theorem 1: the minimum stored distance over subset entries).
-        A few cells (a scalar query's two endpoints) are scanned in
-        Python; more are gathered in one pass, each entry tested against
-        its cell's mask, non-subsets masked to ``inf``, and each non-empty
-        cell takes its ``minimum.reduceat``.
+        ``kernel`` picks the :mod:`repro.kernels` backend; every backend
+        returns the same bits, the compiled ones by stopping at each
+        pair's first stored subset.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        masks = np.broadcast_to(np.asarray(masks, dtype=np.int64), vertices.shape)
-        k = self.num_landmarks
-        if len(vertices) * k <= _SCAN_CELLS:
-            rows = self._scan_rows(vertices.tolist(), masks.tolist())
-            return np.array(rows, dtype=np.float64).reshape(len(vertices), k)
-        cells = (vertices[:, None] + self._block_starts).ravel()
-        lo = self.offsets[cells]
-        counts = self.offsets[cells + 1] - lo
-        ends = counts.cumsum()
-        idx = np.repeat(lo - ends + counts, counts)
-        idx += np.arange(len(idx))
-        stored = self.mask[idx]
-        wanted = np.repeat(np.repeat(masks, k), counts)
-        values = np.where(stored & wanted == stored, self.dist[idx], INF)
-        out = np.full(len(cells), INF)
-        filled = counts.nonzero()[0]
-        if len(filled):
-            out[filled] = np.minimum.reduceat(values, (ends - counts)[filled])
-        return out.reshape(len(vertices), k)
+        masks = np.asarray(masks, dtype=np.int64)
+        if masks.ndim == 0:
+            masks = np.full(vertices.shape, masks)
+        return resolve_kernel(kernel).powcov_lookup(
+            self.offsets, self.dist, self.mask,
+            self.num_landmarks, self.num_vertices, vertices, masks,
+        )

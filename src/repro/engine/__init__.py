@@ -7,10 +7,10 @@ turns any oracle into a batch server:
 * :mod:`repro.engine.plan` turns a batch into ``(sources, targets,
   masks)`` columns;
 * :mod:`repro.engine.executors` answers the whole batch in one vectorized
-  pass, each query under its own mask (PowCov: one subset sweep over the
-  pair table; ChromLand: a ``(g, k)`` usable filter and one batched
-  Theorem 5 kernel call; naive: gathers from a stacked distance array;
-  everything else: the trivial scalar-loop adapter);
+  pass, each query under its own mask (PowCov: one ``powcov_lookup``
+  kernel call over the pair table; ChromLand: a ``(g, k)`` usable filter
+  and one batched Theorem 5 kernel call; naive: gathers from a stacked
+  distance array; everything else: the trivial scalar-loop adapter);
 * :mod:`repro.engine.session` adds the LRU answer cache and batching over
   streams;
 * :mod:`repro.engine.instrument` provides the counters and stage timers

@@ -10,8 +10,9 @@ arithmetic — same lookups, same additions, same minima — run over the
 batch's columns instead of one query at a time:
 
 * :class:`PowCovExecutor` resolves the Theorem 1 reconstruction for every
-  endpoint of the batch in one subset-filter sweep over the index's pair
-  CSR table, testing each stored entry against its own query's mask.
+  endpoint of the batch in one ``powcov_lookup`` kernel call per table
+  direction: each (endpoint, landmark) pair's distance-sorted run is
+  walked up to its first label set inside that query's own mask.
 * :class:`ChromLandExecutor` builds the ``(g, k)`` usable-landmark filter
   from the mask column, gathers every query's landmark legs once, and
   answers with a row minimum (Proposition 2) or one batched Theorem 5
@@ -126,13 +127,18 @@ class PowCovExecutor(OracleExecutor[PowCovIndex]):
         if oracle.reverse is not None:
             # Directed estimate: min_x d_C(s → x) + d_C(x → t); the s-leg
             # comes from the reverse table.
-            ds = oracle.landmark_rows(batch.sources, batch.masks, "to-landmark")
-            dt = oracle.landmark_rows(batch.targets, batch.masks)
+            ds = oracle.landmark_rows(
+                batch.sources, batch.masks, "to-landmark", self.kernel
+            )
+            dt = oracle.landmark_rows(
+                batch.targets, batch.masks, kernel=self.kernel
+            )
         else:
             g = len(batch)
             rows = oracle.landmark_rows(
                 np.concatenate([batch.sources, batch.targets]),
                 np.concatenate([batch.masks, batch.masks]),
+                kernel=self.kernel,
             )
             ds, dt = rows[:g], rows[g:]
         sums = ds + dt

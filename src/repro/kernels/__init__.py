@@ -1,9 +1,10 @@
-"""Pluggable compiled kernels for the three hottest loops.
+"""Pluggable compiled kernels for the four hottest loops.
 
-The paper's construction and query costs concentrate in three inner
+The paper's construction and query costs concentrate in four inner
 loops — the bit-parallel MS-BFS sweep (:mod:`repro.perf.batched`), the
-Theorem 2 one-removed subset sweep (:mod:`repro.core.powcov.waves`), and
-the ChromLand auxiliary-graph Dijkstra (:mod:`repro.core.chromland`).
+Theorem 2 one-removed subset sweep (:mod:`repro.core.powcov.waves`), the
+Theorem 1 PowCov table lookup (:mod:`repro.core.powcov.table`) and the
+ChromLand auxiliary-graph Dijkstra (:mod:`repro.core.chromland`).
 This package puts those loops behind a :class:`KernelBackend` protocol
 with three interchangeable implementations:
 
@@ -16,10 +17,13 @@ with three interchangeable implementations:
   ``ctypes``.  Optional: needs ``cc``/``gcc``/``clang`` on ``PATH``.
 
 All backends produce **bit-identical** results.  BFS levels are exact
-integers, the Theorem 2 sweep is an integer min/compare, and the compiled
-Dijkstra replays the numpy implementation's IEEE operation order (same
-additions, same first-minimum argmin, same early-exit predicate), so no
-tolerance is needed anywhere — the differential tests assert ``==``.
+integers, the Theorem 2 sweep is an integer min/compare, the compiled
+PowCov lookup returns the first stored subset of a pair's
+distance-sorted run (which is the minimum the numpy sweep takes), and the
+compiled Dijkstra replays the numpy implementation's IEEE operation order
+(same additions, same first-minimum argmin, same early-exit predicate),
+so no tolerance is needed anywhere — the differential tests assert
+``==``.
 
 Selection
 ---------
@@ -121,6 +125,30 @@ class KernelBackend(Protocol):
         """
         ...
 
+    def powcov_lookup(
+        self,
+        offsets: np.ndarray,
+        dist: np.ndarray,
+        mask: np.ndarray,
+        k: int,
+        n: int,
+        vertices: np.ndarray,
+        masks: np.ndarray,
+    ) -> np.ndarray:
+        """Theorem 1 over a PowCov pair CSR for ``g`` (vertex, mask) rows.
+
+        ``offsets`` (int64, ``k * n + 1``), ``dist`` (int32, or float64
+        for weighted PowCov) and ``mask`` (int64) are the
+        :class:`~repro.core.powcov.table.PowCovTable` columns, possibly
+        read-only ``np.memmap`` sections: backends never copy or write
+        them.  ``vertices`` and ``masks`` are ``(g,)`` int64.  Returns the
+        ``(g, k)`` float64 matrix whose ``[r, i]`` is the smallest stored
+        distance of pair ``i * n + vertices[r]`` whose label set is a
+        subset of ``masks[r]`` (``inf`` when none is).  A vertex outside
+        ``[0, n)`` raises ``IndexError``.
+        """
+        ...
+
     def aux_dijkstra(
         self,
         weights: np.ndarray,
@@ -152,6 +180,38 @@ def _check_aux_shapes(
             "aux_dijkstra needs (k, k) weights and (g, k) usable/ds/dt, got "
             f"{weights.shape}, {usable.shape}, {ds.shape}, {dt.shape}"
         )
+
+
+def _check_lookup_args(
+    offsets: np.ndarray,
+    dist: np.ndarray,
+    mask: np.ndarray,
+    k: int,
+    n: int,
+    vertices: np.ndarray,
+    masks: np.ndarray,
+) -> None:
+    """Compiled ``powcov_lookup`` loops read offsets unchecked: reject a
+    mis-shaped table or batch, and any vertex outside ``[0, n)``, first."""
+    if (
+        len(offsets) != k * n + 1
+        or len(dist) != len(mask)
+        or int(offsets[-1]) != len(dist)
+    ):
+        raise ValueError(
+            "powcov_lookup needs k * n + 1 offsets ending at len(dist) == "
+            f"len(mask), got {len(offsets)} offsets for k={k}, n={n} and "
+            f"{len(dist)}/{len(mask)} entries"
+        )
+    if vertices.ndim != 1 or masks.shape != vertices.shape:
+        raise ValueError(
+            "powcov_lookup needs (g,) vertices and masks, got "
+            f"{vertices.shape} and {masks.shape}"
+        )
+    # Negative int64 vertices wrap to huge uint64 ones: one max() checks
+    # both ends of the range.
+    if len(vertices) and vertices.view(np.uint64).max() >= n:
+        raise IndexError(f"powcov_lookup: vertex out of range [0, {n})")
 
 
 class KernelFallbackWarning(UserWarning):

@@ -1,6 +1,6 @@
 """C-extension kernel backend: compile-on-demand via the system compiler.
 
-The three hot loops as portable C99, compiled once per source hash with
+The four hot loops as portable C99, compiled once per source hash with
 whatever ``cc``/``gcc``/``clang`` is on ``PATH`` (``$CC`` wins) into a
 shared library cached under ``REPRO_KERNEL_CACHE`` (default
 ``$XDG_CACHE_HOME/repro-kernels``) and loaded through ``ctypes`` — which
@@ -12,8 +12,10 @@ This backend exists because the numba extra cannot always be installed
 with a C compiler still gets native-speed kernels and the same
 bit-identity guarantees.  The loops mirror the numpy reference exactly:
 BFS levels are exact integers, the Theorem 2 sweep is an integer
-min/compare, and the Dijkstra replays numpy's IEEE operation order
-(first-minimum selection, same addition order, same early-exit test).
+min/compare, the PowCov lookup stops at the first stored subset of a
+distance-sorted run (the minimum numpy reduces to), and the Dijkstra
+replays numpy's IEEE operation order (first-minimum selection, same
+addition order, same early-exit test).
 
 Import (and therefore the compile probe) only ever happens through the
 :func:`repro.kernels.resolve_kernel` registry — a missing compiler turns
@@ -33,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _check_aux_shapes
+from . import _check_aux_shapes, _check_lookup_args
 
 __all__ = ["CExtensionKernel"]
 
@@ -176,6 +178,35 @@ int repro_one_removed(
     free(best);
     return 0;
 }
+
+/* Theorem 1 over a PowCov pair CSR: out[r, i] is the first entry of
+ * pair i * n + vertices[r] whose label set is a subset of masks[r].  A
+ * pair's run is sorted by distance, so the first hit is the minimum;
+ * INFINITY when there is none.  offsets has k * n + 1 slots; vertices
+ * are in [0, n) (the wrapper checks both).  One copy per dist dtype. */
+#define REPRO_POWCOV_LOOKUP(NAME, DIST_T)                                  \
+void NAME(                                                                 \
+    const int64_t *offsets, const DIST_T *dist, const int64_t *mask,       \
+    int64_t k, int64_t n, const int64_t *vertices, const int64_t *masks,   \
+    int64_t g, double *out)                                                \
+{                                                                          \
+    for (int64_t r = 0; r < g; r++) {                                      \
+        int64_t u = vertices[r], want = masks[r];                          \
+        double *row = out + (size_t)r * (size_t)k;                         \
+        for (int64_t i = 0; i < k; i++) {                                  \
+            const int64_t *cell = offsets + i * n + u;                     \
+            double found = INFINITY;                                       \
+            for (int64_t e = cell[0]; e < cell[1]; e++)                    \
+                if ((mask[e] & want) == mask[e]) {                         \
+                    found = (double)dist[e];                               \
+                    break;                                                 \
+                }                                                          \
+            row[i] = found;                                                \
+        }                                                                  \
+    }                                                                      \
+}
+REPRO_POWCOV_LOOKUP(repro_powcov_lookup_i32, int32_t)
+REPRO_POWCOV_LOOKUP(repro_powcov_lookup_f64, double)
 
 /* Theorem 5 dense Dijkstra from the virtual source, one row per query.
  * Bit-identical to the numpy reference: the best single-landmark
@@ -324,6 +355,9 @@ class CExtensionKernel:
         ptr = ctypes.c_void_p
         lib.repro_aux_dijkstra.restype = ctypes.c_int
         lib.repro_aux_dijkstra.argtypes = [ptr, i64, ptr, ptr, ptr, i64, ptr]
+        for fn in (lib.repro_powcov_lookup_i32, lib.repro_powcov_lookup_f64):
+            fn.restype = None
+            fn.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr, i64, ptr]
         self._lib = lib
 
     # ------------------------------------------------------------------
@@ -405,6 +439,39 @@ class CExtensionKernel:
         if status != 0:  # pragma: no cover - allocation failure only
             raise MemoryError("repro_one_removed: allocation failed")
         return out.view(bool)
+
+    def powcov_lookup(
+        self,
+        offsets: np.ndarray,
+        dist: np.ndarray,
+        mask: np.ndarray,
+        k: int,
+        n: int,
+        vertices: np.ndarray,
+        masks: np.ndarray,
+    ) -> np.ndarray:
+        # Table columns are read in place (a C-contiguous column of the
+        # right dtype, memmap or not, passes through uncopied); locals keep
+        # every coerced buffer alive for the duration of the call.
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        mask = np.ascontiguousarray(mask, dtype=np.int64)
+        if dist.dtype == np.int32:
+            dist = np.ascontiguousarray(dist)
+            lookup = self._lib.repro_powcov_lookup_i32
+        else:
+            dist = np.ascontiguousarray(dist, dtype=np.float64)
+            lookup = self._lib.repro_powcov_lookup_f64
+        vertices = np.ascontiguousarray(vertices, dtype=np.int64)
+        masks = np.ascontiguousarray(masks, dtype=np.int64)
+        _check_lookup_args(offsets, dist, mask, k, n, vertices, masks)
+        g = len(vertices)
+        out = np.empty((g, k), dtype=np.float64)
+        lookup(
+            offsets.ctypes.data, dist.ctypes.data, mask.ctypes.data,
+            int(k), int(n), vertices.ctypes.data, masks.ctypes.data, g,
+            out.ctypes.data,
+        )
+        return out
 
     def aux_dijkstra(
         self,

@@ -7,9 +7,10 @@ failure and falls back to numpy with a single structured warning.
 
 The kernels are explicit-loop mirrors of the C backend (and therefore of
 the numpy reference): exact integer BFS levels, integer Theorem 2
-min/compare, and a Dijkstra replaying numpy's IEEE operation order —
-first-minimum selection, the same ``di + w`` addition order, the same
-early-exit predicate — so all backends are bit-identical by
+min/compare, a PowCov lookup stopping at the first stored subset of a
+distance-sorted run, and a Dijkstra replaying numpy's IEEE operation
+order — first-minimum selection, the same ``di + w`` addition order, the
+same early-exit predicate — so all backends are bit-identical by
 construction.  ``cache=True`` persists the compiled machine code across
 processes (JIT warm-up is paid once per machine, not once per run);
 ``nogil=True`` lets thread-parallel builds overlap inside the kernels.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 from numba import njit  # noqa: F401 - optional dependency, probe-gated
 
-from . import _check_aux_shapes
+from . import _check_aux_shapes, _check_lookup_args
 
 __all__ = ["NumbaKernel"]
 
@@ -154,6 +155,30 @@ def _one_removed(
 
 
 @njit(cache=True, nogil=True)
+def _powcov_lookup(
+    offsets: np.ndarray,
+    dist: np.ndarray,
+    mask: np.ndarray,
+    k: int,
+    n: int,
+    vertices: np.ndarray,
+    masks: np.ndarray,
+    out: np.ndarray,
+) -> None:  # pragma: no cover - exercised only when numba is installed
+    for r in range(vertices.shape[0]):
+        u = vertices[r]
+        want = masks[r]
+        for i in range(k):
+            cell = i * n + u
+            found = np.inf
+            for e in range(offsets[cell], offsets[cell + 1]):
+                if mask[e] & want == mask[e]:
+                    found = np.float64(dist[e])
+                    break  # distance-sorted: the first hit is the minimum
+            out[r, i] = found
+
+
+@njit(cache=True, nogil=True)
 def _aux_dijkstra(
     weights: np.ndarray,
     usable: np.ndarray,
@@ -194,7 +219,7 @@ def _aux_dijkstra(
 
 
 class NumbaKernel:
-    """JIT-compiled implementations of the three hot loops."""
+    """JIT-compiled implementations of the four hot loops."""
 
     name = "numba"
 
@@ -252,6 +277,32 @@ class NumbaKernel:
             np.ascontiguousarray(prev_rows, dtype=np.int32),
             np.ascontiguousarray(sub_rows, dtype=np.int64),
             out,
+        )
+        return out
+
+    def powcov_lookup(
+        self,
+        offsets: np.ndarray,
+        dist: np.ndarray,
+        mask: np.ndarray,
+        k: int,
+        n: int,
+        vertices: np.ndarray,
+        masks: np.ndarray,
+    ) -> np.ndarray:
+        # Columns are read in place: a C-contiguous column of the right
+        # dtype, memmap or not, passes through uncopied.
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        mask = np.ascontiguousarray(mask, dtype=np.int64)
+        dist = np.ascontiguousarray(
+            dist, dtype=np.int32 if dist.dtype == np.int32 else np.float64
+        )
+        vertices = np.ascontiguousarray(vertices, dtype=np.int64)
+        masks = np.ascontiguousarray(masks, dtype=np.int64)
+        _check_lookup_args(offsets, dist, mask, k, n, vertices, masks)
+        out = np.empty((len(vertices), k), dtype=np.float64)
+        _powcov_lookup(
+            offsets, dist, mask, int(k), int(n), vertices, masks, out
         )
         return out
 

@@ -2,16 +2,19 @@
 
 These are the loop bodies that previously lived inline in
 ``repro.perf.batched`` (bit-parallel MS-BFS), ``repro.core.powcov.waves``
-(Theorem 2 one-removed sweep) and ``repro.core.chromland.query`` (dense
-auxiliary Dijkstra, now run over a whole batch of queries per call),
-moved behind the :class:`~repro.kernels.KernelBackend` protocol.  The
-compiled backends are checked against this one bit-for-bit, so any
-change here is a semantic change for all three.
+(Theorem 2 one-removed sweep), ``repro.core.powcov.table`` (the Theorem 1
+pair-CSR lookup) and ``repro.core.chromland.query`` (dense auxiliary
+Dijkstra, now run over a whole batch of queries per call), moved behind
+the :class:`~repro.kernels.KernelBackend` protocol.  The compiled
+backends are checked against this one bit-for-bit, so any change here is
+a semantic change for all three.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import _check_lookup_args
 
 __all__ = ["NumpyKernel"]
 
@@ -19,7 +22,7 @@ _INF = np.float64(np.inf)
 
 
 class NumpyKernel:
-    """Vectorized numpy implementations of the three hot loops."""
+    """Vectorized numpy implementations of the four hot loops."""
 
     name = "numpy"
 
@@ -113,6 +116,40 @@ class NumpyKernel:
         for j in range(1, sub_rows.shape[1]):
             np.minimum(best, prev_rows[sub_rows[:, j]], out=best)
         return dist < best
+
+    def powcov_lookup(
+        self,
+        offsets: np.ndarray,
+        dist: np.ndarray,
+        mask: np.ndarray,
+        k: int,
+        n: int,
+        vertices: np.ndarray,
+        masks: np.ndarray,
+    ) -> np.ndarray:
+        """Gather every cell's entries in one pass and minimum-reduce them.
+
+        Each entry is tested against its own row's mask, non-subsets are
+        masked to ``inf``, and each non-empty cell takes its
+        ``minimum.reduceat``.
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        masks = np.asarray(masks, dtype=np.int64)
+        _check_lookup_args(offsets, dist, mask, k, n, vertices, masks)
+        cells = (vertices[:, None] + np.arange(k, dtype=np.int64) * n).ravel()
+        lo = offsets[cells]
+        counts = offsets[cells + 1] - lo
+        ends = counts.cumsum()
+        idx = np.repeat(lo - ends + counts, counts)
+        idx += np.arange(len(idx))
+        stored = mask[idx]
+        wanted = np.repeat(np.repeat(masks, k), counts)
+        values = np.where(stored & wanted == stored, dist[idx], _INF)
+        out = np.full(len(cells), _INF)
+        filled = counts.nonzero()[0]
+        if len(filled):
+            out[filled] = np.minimum.reduceat(values, (ends - counts)[filled])
+        return out.reshape(len(vertices), k)
 
     def aux_dijkstra(
         self,

@@ -1,5 +1,6 @@
 # lint-module: repro/perf/scratch.py
-"""Fixture: read-only maps read, writable maps escaped, copies mutated."""
+"""Fixture: read-only maps read, writable maps escaped, copies mutated,
+fresh results of read-only inputs written and used after the map closes."""
 
 from __future__ import annotations
 
@@ -23,3 +24,19 @@ def _mutate_a_copy(offsets: object, payload: object, bits: object) -> "np.ndarra
     scratch = table.dist.copy()  # a private copy is writable
     scratch[0] = 0.0
     return scratch
+
+
+def _mutate_a_minimum(offsets: object, payload: object, bits: object) -> "np.ndarray":
+    table = PowCovTable(offsets, payload, bits, 4, 16)
+    out = np.minimum(table.dist, np.zeros(8))  # a fresh array, writable
+    out[0] = 1.0
+    return out
+
+
+def _astype_outlives_close(path: str) -> float:
+    view = np.memmap(path, mode="r", dtype=np.float64, shape=(8,))
+    try:
+        rows = view.astype(np.float32)  # a copy: no handle on the map
+    finally:
+        view.close()
+    return float(rows[0])

@@ -28,6 +28,9 @@ store-opened, naive — bit-identically to the scalar loop.
 
 ``test_harness_detects_executor_divergence`` proves the harness has teeth:
 a deliberately corrupted executor must trip the consistency assertions.
+``test_harness_detects_lookup_divergence`` does the same one layer down:
+a ``powcov_lookup`` kernel that returns each pair's *last* stored subset
+instead of the first (the minimum) must be caught.
 
 The hypothesis budget is environment-tunable so the nightly CI job can run
 a much deeper search than the tier-1 gate:
@@ -54,7 +57,7 @@ from repro.engine import QuerySession, execute_batch
 from repro.engine.executors import PowCovExecutor
 from repro.graph.generators import labeled_erdos_renyi
 from repro.graph.labeled_graph import EdgeLabeledGraph
-from repro.kernels import available_kernels, set_default_kernel
+from repro.kernels import available_kernels, resolve_kernel, set_default_kernel
 from repro.perf.parallel import SERIAL, ParallelConfig
 from repro.store.index_store import open_index, save_index
 
@@ -256,7 +259,8 @@ class TestDifferential:
     def test_kernels_agree_bit_for_bit(self, graph):
         """Every available kernel backend reproduces the numpy answers
         exactly — including ChromLand's *approximate* ones, where the
-        compiled Dijkstra must replay numpy's IEEE operation order."""
+        compiled Dijkstra must replay numpy's IEEE operation order, and
+        weighted PowCov, whose float64 table the lookup reads."""
         truth = list(all_pairs_all_masks(graph))
         queries = [(s, t, m) for s, t, m, _ in truth]
 
@@ -272,9 +276,13 @@ class TestDifferential:
                     graph, range(min(3, graph.num_vertices)), builder="wave"
                 ).build()
                 chrom = ChromLandIndex(graph, landmarks, colors).build()
+                weighted = WeightedPowCovIndex(
+                    graph, landmarks, _arc_weights(graph, seed=graph.num_arcs)
+                ).build()
                 answers[name] = (
                     answers_via(powcov, queries, "batch"),
                     answers_via(chrom, queries, "session"),
+                    answers_via(weighted, queries, "batch"),
                 )
             finally:
                 set_default_kernel(None)
@@ -470,6 +478,38 @@ class TestHarnessSensitivity:
             return out
 
         monkeypatch.setattr(PowCovExecutor, "execute", corrupted)
+        with pytest.raises(AssertionError, match="diverged"):
+            assert_paths_agree(oracle, queries, exact, "powcov-mutated")
+
+    def test_harness_detects_lookup_divergence(self, monkeypatch):
+        """A Theorem 1 kernel keeping the last subset hit trips the check."""
+        graph = labeled_erdos_renyi(20, 45, num_labels=3, seed=5)
+        oracle = PowCovIndex(
+            graph, range(graph.num_vertices), builder="traverse"
+        ).build()
+        # Every fifth query, so every source appears: the first 200 all
+        # start at vertex 0, where no pair has two subset hits.
+        truth = list(all_pairs_all_masks(graph))[::5]
+        queries = [(s, t, m) for s, t, m, _ in truth]
+        exact = [d for _, _, _, d in truth]
+        assert_paths_agree(oracle, queries, exact, "powcov")
+
+        def last_hit(self, offsets, dist, mask, k, n, vertices, masks):
+            out = np.full((len(vertices), k), np.inf)
+            for r, (u, want) in enumerate(zip(vertices.tolist(), masks.tolist())):
+                for i in range(k):
+                    lo, hi = offsets[i * n + u], offsets[i * n + u + 1]
+                    for e in range(hi - 1, lo - 1, -1):
+                        if mask[e] & want == mask[e]:
+                            out[r, i] = dist[e]
+                            break
+            return out
+
+        # Every backend any path can resolve: scalar, executor and wire.
+        for name in AVAILABLE_KERNELS:
+            monkeypatch.setattr(
+                type(resolve_kernel(name)), "powcov_lookup", last_hit
+            )
         with pytest.raises(AssertionError, match="diverged"):
             assert_paths_agree(oracle, queries, exact, "powcov-mutated")
 

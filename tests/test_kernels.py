@@ -2,9 +2,11 @@
 
 Each compiled backend (numba when importable, the on-demand C extension
 when a C compiler is on ``PATH``) is tested *in isolation* against the
-numpy reference for all four protocol methods — directed and undirected
-graphs, weighted auxiliary graphs, and the PR-4 edge cases (empty graphs,
-a trailing vertex with no in-arcs, whose reversed-CSR segment is empty).
+numpy reference for all five protocol methods — directed and undirected
+graphs, weighted auxiliary graphs, PowCov tables with empty pairs, no
+landmarks, weighted distances and read-only ``np.memmap`` columns, and the
+PR-4 edge cases (empty graphs, a trailing vertex with no in-arcs, whose
+reversed-CSR segment is empty).
 Every comparison is exact ``==``: the kernels contract is bit-identity,
 not tolerance.
 
@@ -18,7 +20,10 @@ request for an unavailable backend emits exactly one structured
 from __future__ import annotations
 
 import builtins
+import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +330,136 @@ class TestAuxDijkstraIdentity:
         want = NUMPY.aux_dijkstra(weights, usable, legs, legs)
         got = compiled.aux_dijkstra(weights, usable, legs, legs)
         assert np.isinf(want).all() and np.isinf(got).all()
+
+
+# ----------------------------------------------------------------------
+# Bit-identity: Theorem 1 PowCov table lookup
+# ----------------------------------------------------------------------
+def _random_powcov_table(data):
+    """PowCov table columns plus a ``(g,)`` lookup batch.
+
+    Each (landmark, vertex) pair holds up to ``max_entries`` entries in
+    (distance, mask) order; ``max_entries == 0`` is an all-empty table and
+    ``k == 0`` a table with no landmarks.  ``weighted`` draws float64
+    distances (ties included), otherwise int32.  The batch always holds
+    masks 0 and full.
+    """
+    k = data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(1, 8))
+    num_labels = data.draw(st.integers(1, 5))
+    max_entries = data.draw(st.integers(0, 4))
+    weighted = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    full = (1 << num_labels) - 1
+    counts = rng.integers(0, max_entries + 1, size=k * n)
+    offsets = np.zeros(k * n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    total = int(offsets[-1])
+    if weighted:
+        dist = rng.choice([0.5, 1.25, 2.0, 7.75], size=total)
+    else:
+        dist = rng.integers(0, 6, size=total).astype(np.int32)
+    mask = rng.integers(0, full + 1, size=total).astype(np.int64)
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        order = np.lexsort((mask[lo:hi], dist[lo:hi]))
+        dist[lo:hi], mask[lo:hi] = dist[lo:hi][order], mask[lo:hi][order]
+    g = data.draw(st.integers(0, 10))
+    vertices = rng.integers(0, n, size=g + 2)
+    masks = np.concatenate([[0, full], rng.integers(0, full + 1, size=g)])
+    return (offsets, dist, mask, k, n), vertices, masks
+
+
+def _first_hit_scan(offsets, dist, mask, k, n, vertices, masks):
+    """Theorem 1 as a plain scan: each pair's first stored subset."""
+    out = np.full((len(vertices), k), np.inf)
+    for r, (u, want) in enumerate(zip(vertices.tolist(), masks.tolist())):
+        for i in range(k):
+            for e in range(offsets[i * n + u], offsets[i * n + u + 1]):
+                if mask[e] & want == mask[e]:
+                    out[r, i] = dist[e]
+                    break
+    return out
+
+
+def _readonly_maps(directory, *columns):
+    """Each column as a read-only ``np.memmap`` (as a store opens them)."""
+    maps = []
+    for i, column in enumerate(columns):
+        path = Path(directory) / f"column{i}.npy"
+        np.save(path, column)
+        maps.append(np.load(path, mmap_mode="r") if len(column) else column)
+    return maps
+
+
+class TestPowCovLookupIdentity:
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_matches_numpy(self, compiled, data):
+        """Compiled first-hit walk == numpy sweep, byte for byte, on plain
+        and on read-only memmapped columns."""
+        (offsets, dist, mask, k, n), vertices, masks = _random_powcov_table(data)
+        want = NUMPY.powcov_lookup(offsets, dist, mask, k, n, vertices, masks)
+        assert want.shape == (len(vertices), k) and want.dtype == np.float64
+        got = compiled.powcov_lookup(offsets, dist, mask, k, n, vertices, masks)
+        assert got.tobytes() == want.tobytes()
+        with tempfile.TemporaryDirectory() as directory:
+            columns = _readonly_maps(directory, offsets, dist, mask)
+            got = compiled.powcov_lookup(*columns, k, n, vertices, masks)
+            assert got.tobytes() == want.tobytes()
+            del columns  # drop the maps before the directory goes
+
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_numpy_matches_first_hit_scan(self, data):
+        """Reference: the sweep's minimum is each pair's first stored
+        subset, ``inf`` for mask 0 and for empty pairs."""
+        (offsets, dist, mask, k, n), vertices, masks = _random_powcov_table(data)
+        got = NUMPY.powcov_lookup(offsets, dist, mask, k, n, vertices, masks)
+        want = _first_hit_scan(offsets, dist, mask, k, n, vertices, masks)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["numpy", "numba", "cext"])
+    @pytest.mark.parametrize("vertex", [-1, 3, 7])
+    def test_out_of_range_vertex_raises_before_the_loop(
+        self, monkeypatch, name, vertex
+    ):
+        """Compiled loops read offsets unchecked, so every backend rejects a
+        vertex outside ``[0, n)`` with ``IndexError`` before calling in."""
+        if name not in available_kernels():
+            pytest.skip(f"{name} kernel backend unavailable in this environment")
+        backend = resolve_kernel(name)
+
+        def native_call(*args):
+            raise AssertionError("compiled loop reached with a bad vertex")
+
+        if name == "cext":
+            monkeypatch.setattr(
+                backend, "_lib", type("Lib", (), {
+                    "repro_powcov_lookup_i32": staticmethod(native_call),
+                    "repro_powcov_lookup_f64": staticmethod(native_call),
+                })(),
+            )
+        elif name == "numba":
+            module = sys.modules[type(backend).__module__]
+            monkeypatch.setattr(module, "_powcov_lookup", native_call)
+        k, n = 2, 3
+        offsets = np.arange(k * n + 1, dtype=np.int64)
+        dist = np.arange(k * n, dtype=np.int32)
+        mask = np.ones(k * n, dtype=np.int64)
+        vertices = np.array([0, vertex], dtype=np.int64)
+        with pytest.raises(IndexError, match="out of range"):
+            backend.powcov_lookup(
+                offsets, dist, mask, k, n, vertices, np.array([1, 1])
+            )
+
+    def test_rejects_mismatched_shapes(self, compiled):
+        offsets = np.zeros(5, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int32)
+        one = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError, match="powcov_lookup"):
+            compiled.powcov_lookup(offsets, empty, one[:0], 2, 3, one, one)
+        with pytest.raises(ValueError, match="powcov_lookup"):
+            compiled.powcov_lookup(offsets, empty, one[:0], 2, 2, one, one[:0])
 
 
 # ----------------------------------------------------------------------
